@@ -3,8 +3,7 @@
 //! Not a criterion bench — a custom harness that steps the same 32
 //! sessions to completion serially (plain `session.step()` loops) and
 //! at lockstep batch widths 1, 4, 8, 16 and 32
-//! ([`rdsim_core::SessionBatch`], which routes eligible sessions through
-//! the stage-major SoA sweep), prints the per-width steps/sec curve,
+//! ([`rdsim_core::SessionBatch`]), prints the per-width steps/sec curve,
 //! re-checks that every width reproduces the serial run-log digests bit
 //! for bit, and writes a machine-readable `BENCH_session.json` at the
 //! workspace root. The recorded numbers are honest medians on whatever
@@ -13,10 +12,11 @@
 //! not cores — on any machine the digests must match, which is the
 //! check that matters.
 //!
-//! `soa_speedup` compares batch-8 throughput against the pre-SoA
-//! engine's measured ~57k steps/sec on the reference container and is
-//! gated in-bench: the data-oriented refactor must keep paying for
-//! itself or this bench fails.
+//! `lockstep_overhead` is the median batch-8 wall time over the median
+//! serial wall time, both taken from the same interleaved serial/batch-8
+//! pairs so machine drift hits both sides alike. It is gated in-bench:
+//! the batch's scheduling scan must stay cheap next to the steps it
+//! schedules, or this bench fails.
 
 use rdsim_bench::report::{Group, Report};
 use rdsim_core::{
@@ -37,13 +37,11 @@ const SESSIONS: usize = 32;
 const STEPS: u64 = 1_000;
 /// Lockstep widths the curve is measured at.
 const WIDTHS: [usize; 5] = [1, 4, 8, 16, 32];
-/// Steps/sec of the pre-SoA engine (per-session stepping, same
-/// scenario) on the reference single-core container — the fixed
-/// baseline `soa_speedup` is measured against.
-const PRE_SOA_STEPS_PER_SEC: f64 = 57_000.0;
-/// In-bench gate: batch-8 must beat the pre-SoA baseline by at least
-/// this factor.
-const MIN_SOA_SPEEDUP: f64 = 2.0;
+/// Interleaved serial/batch-8 pairs timed for `lockstep_overhead`.
+const OVERHEAD_PAIRS: usize = 5;
+/// In-bench gate: batch-8 may take at most this factor of the serial
+/// wall time for the same sessions.
+const MAX_LOCKSTEP_OVERHEAD: f64 = 1.25;
 /// In-bench gate for the finite-queue datapath: the same batch-8 sweep
 /// with every fault window carrying a rate limit — so the BDP-sized
 /// queue, its tail-drop accounting and the serialization clock are live
@@ -131,20 +129,26 @@ fn run_batched_with(batch: usize, rate_limited: bool) -> (f64, Vec<u64>) {
     (start.elapsed().as_secs_f64(), digests)
 }
 
+fn median(mut times: Vec<f64>) -> f64 {
+    times.sort_by(|a, b| a.total_cmp(b));
+    times[times.len() / 2]
+}
+
+/// Runs `f` once and checks its digests against the serial reference;
+/// returns the wall seconds.
+fn checked(f: impl Fn() -> (f64, Vec<u64>), what: &str, reference: &[u64]) -> f64 {
+    let (secs, digests) = f();
+    assert_eq!(
+        digests, reference,
+        "digest drift at {what} — lockstep changed results"
+    );
+    secs
+}
+
 /// Median wall seconds over `SAMPLES` runs of `f`, digest-checked
 /// against the serial reference.
 fn time_runs(f: impl Fn() -> (f64, Vec<u64>), what: &str, reference: &[u64]) -> f64 {
-    let mut times = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let (secs, digests) = f();
-        assert_eq!(
-            digests, reference,
-            "digest drift at {what} — lockstep changed results"
-        );
-        times.push(secs);
-    }
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
+    median((0..SAMPLES).map(|_| checked(&f, what, reference)).collect())
 }
 
 fn main() {
@@ -208,13 +212,26 @@ fn main() {
         "finite-queue regression: rate-limited batch-8 took {queue_overhead:.2}× the plain \
          sweep (gate: {MAX_QUEUE_OVERHEAD}×)"
     );
-    let soa_speedup = rate(b8) / PRE_SOA_STEPS_PER_SEC;
-    println!("soa_speedup: {soa_speedup:.2}× vs pre-SoA {PRE_SOA_STEPS_PER_SEC:.0} steps/sec");
+
+    // Same-run lockstep overhead: serial and batch-8 samples alternate,
+    // so both medians see the same machine conditions.
+    let (pair_serial, pair_b8): (Vec<f64>, Vec<f64>) = (0..OVERHEAD_PAIRS)
+        .map(|_| {
+            (
+                checked(run_serial, "serial", &reference),
+                checked(|| run_batched(8), "batch 8", &reference),
+            )
+        })
+        .unzip();
+    let lockstep_overhead = median(pair_b8) / median(pair_serial);
+    println!(
+        "lockstep_overhead: batch=8 takes {lockstep_overhead:.2}× serial \
+         ({OVERHEAD_PAIRS} interleaved pairs)"
+    );
     assert!(
-        soa_speedup >= MIN_SOA_SPEEDUP,
-        "SoA regression: batch-8 {:.0} steps/sec is only {soa_speedup:.2}× the pre-SoA \
-         baseline of {PRE_SOA_STEPS_PER_SEC:.0} (gate: {MIN_SOA_SPEEDUP}×)",
-        rate(b8),
+        lockstep_overhead <= MAX_LOCKSTEP_OVERHEAD,
+        "lockstep regression: batch-8 took {lockstep_overhead:.2}× the serial wall time \
+         (gate: {MAX_LOCKSTEP_OVERHEAD}×)"
     );
 
     let mut secs_group = Group::new().float("serial", serial, 6);
@@ -235,7 +252,7 @@ fn main() {
         .group("median_secs", secs_group)
         .group("steps_per_sec", rate_group)
         .group("speedup_vs_serial", speedup_group)
-        .float("soa_speedup", soa_speedup, 3)
+        .float("lockstep_overhead", lockstep_overhead, 3)
         .float("queue_overhead", queue_overhead, 3)
         .bool("queue_overhead_ok", queue_overhead <= MAX_QUEUE_OVERHEAD)
         .bool("digest_match", true);

@@ -11,25 +11,14 @@
 //! Sessions in a batch share nothing (each owns its world, links, RNG
 //! streams and driver), so lockstep interleaving is bit-for-bit
 //! equivalent to running them serially — the parallel-equivalence suite
-//! pins this.
-//!
-//! Since the SoA refactor the batch is the owner of the data-oriented
-//! engine: it keeps a compact live-slot index (swap-removed on
-//! retirement, so the scheduling scan never touches retired sessions),
-//! the [`SoaLanes`] columnar arrays of per-slot hot state, and one
-//! *canonical* builtin pipeline that it runs **stage-major**: stage 0
-//! for every batch-eligible session, then stage 1, and so on — the
-//! stage's code and working set stay hot while it sweeps dense columns.
-//! Sessions that can't join the sweep (custom stage list shape, live
-//! telemetry recorder) step serially through [`RdsSession::step`]
-//! exactly as before, and a single position swapped via
-//! [`RdsSession::replace_stage`] demotes only that position to the
-//! per-session loop ([`crate::Stage::is_default_impl`]). The run-log,
-//! trace and counter writes go through the same code on every path, so
-//! digests cannot see the layout.
+//! pins this. The batch keeps a compact index of its live slots
+//! (swap-removed on retirement), so the per-tick scheduling scan never
+//! touches retired sessions, and each tick is nothing more than
+//! [`RdsSession::step`] for every live slot — the same stage pipeline
+//! the serial path runs, so stages swapped in via
+//! [`RdsSession::replace_stage`] or [`RdsSession::insert_stage_after`]
+//! behave identically inside a batch.
 
-use crate::pipeline::{Stage, StageContext};
-use crate::soa::{BatchCtx, OperatorProvider, SoaLanes};
 use crate::{OperatorSubsystem, RdsSession};
 
 /// Drives one session inside a [`SessionBatch`]: decides before each step
@@ -114,36 +103,13 @@ impl<O: OperatorSubsystem> SessionController for FixedRun<O> {
 /// pair in insertion order for per-run log extraction.
 #[derive(Debug)]
 pub struct SessionBatch<C> {
-    // Struct-of-arrays: the scheduler scans `live_slots` and
-    // `controllers` densely each tick; the big session states sit in
-    // their own lane, and the hot per-slot scalars in `lanes`.
+    // The scheduler scans `live_slots` and `controllers` densely each
+    // tick; the big session states sit in their own vec.
     sessions: Vec<RdsSession>,
     controllers: Vec<C>,
     /// Compact index of live batch slots; retirement swap-removes, so
     /// the scan is O(live) instead of O(ever-pushed).
     live_slots: Vec<usize>,
-    /// The canonical builtin pipeline the stage-major sweep runs. The
-    /// builtins are stateless unit structs, so one shared instance
-    /// advancing every eligible session is identical to each session
-    /// advancing its own.
-    canonical: Vec<Box<dyn Stage>>,
-    /// Columnar per-slot hot state (see [`crate::soa`]).
-    lanes: SoaLanes,
-    // Per-tick partition scratch, reused across ticks.
-    soa_slots: Vec<usize>,
-    serial_slots: Vec<usize>,
-    pos_default: Vec<usize>,
-    pos_custom: Vec<usize>,
-}
-
-/// Resolves a batch slot's operator through its controller — the
-/// [`OperatorProvider`] the stage-major sweep hands to `step_batch`.
-struct ControllerOperators<'a, C>(&'a mut [C]);
-
-impl<C: SessionController> OperatorProvider for ControllerOperators<'_, C> {
-    fn operator_mut(&mut self, slot: usize) -> &mut dyn OperatorSubsystem {
-        self.0[slot].operator_mut()
-    }
 }
 
 impl<C: SessionController> SessionBatch<C> {
@@ -153,12 +119,6 @@ impl<C: SessionController> SessionBatch<C> {
             sessions: Vec::new(),
             controllers: Vec::new(),
             live_slots: Vec::new(),
-            canonical: RdsSession::default_stages(),
-            lanes: SoaLanes::default(),
-            soa_slots: Vec::new(),
-            serial_slots: Vec::new(),
-            pos_default: Vec::new(),
-            pos_custom: Vec::new(),
         }
     }
 
@@ -184,20 +144,8 @@ impl<C: SessionController> SessionBatch<C> {
         self.live_slots.len()
     }
 
-    /// The batch engine's columnar lanes (hot per-slot state mirrors,
-    /// keyed by push order). Read-only: population-scale reducers can
-    /// scan these dense arrays between ticks without touching sessions.
-    pub fn lanes(&self) -> &SoaLanes {
-        &self.lanes
-    }
-
     /// Advances every live session by one tick. Returns the number of
     /// sessions stepped (0 = the batch is done).
-    ///
-    /// Batch-eligible sessions (canonical stage shape, null recorder)
-    /// advance through the stage-major SoA sweep; the rest take the
-    /// serial per-session path. Both are bit-for-bit equivalent — the
-    /// batched-vs-serial digest suites pin it.
     pub fn step_all(&mut self) -> usize {
         // Retirement scan over the compact live-slot index. Sessions
         // share nothing, so the swap-remove reordering is digest-free.
@@ -210,89 +158,10 @@ impl<C: SessionController> SessionBatch<C> {
                 self.live_slots.swap_remove(k);
             }
         }
-        if self.live_slots.is_empty() {
-            return 0;
-        }
-        let stepped = self.live_slots.len();
-
-        self.soa_slots.clear();
-        self.serial_slots.clear();
         for &slot in &self.live_slots {
-            if self.sessions[slot].batched_eligible() {
-                self.soa_slots.push(slot);
-            } else {
-                self.serial_slots.push(slot);
-            }
-        }
-
-        // Serial path first: full per-stage telemetry spans, exactly the
-        // hand-written loop.
-        for &slot in &self.serial_slots {
             self.sessions[slot].step(self.controllers[slot].operator_mut());
         }
-
-        if self.soa_slots.is_empty() {
-            return stepped;
-        }
-
-        // Stage-major SoA sweep. Replicate the serial step() preamble
-        // for every participant, then run each canonical stage across
-        // all of them before moving to the next stage.
-        self.lanes.ensure_slots(self.sessions.len());
-        for &slot in &self.soa_slots {
-            let session = &mut self.sessions[slot];
-            session.core.obs.steps.inc();
-            session.scratch.reset();
-        }
-        let Self {
-            sessions,
-            controllers,
-            canonical,
-            lanes,
-            soa_slots,
-            pos_default,
-            pos_custom,
-            ..
-        } = self;
-        let mut ops = ControllerOperators(controllers.as_mut_slice());
-        for (i, stage) in canonical.iter_mut().enumerate() {
-            // Per-position demotion: a slot whose stage at this position
-            // was swapped in via `replace_stage` runs its own instance
-            // in the per-session loop; everyone else takes the dense
-            // sweep of the shared builtin.
-            pos_default.clear();
-            pos_custom.clear();
-            for &slot in soa_slots.iter() {
-                if sessions[slot].stages[i].is_default_impl() {
-                    pos_default.push(slot);
-                } else {
-                    pos_custom.push(slot);
-                }
-            }
-            if !pos_default.is_empty() {
-                let mut ctx = BatchCtx {
-                    sessions: sessions.as_mut_slice(),
-                    ops: &mut ops,
-                    slots: pos_default,
-                    lanes,
-                };
-                stage.step_batch(&mut ctx);
-            }
-            for &slot in pos_custom.iter() {
-                let RdsSession {
-                    core,
-                    stages,
-                    scratch,
-                } = &mut sessions[slot];
-                let mut ctx = StageContext {
-                    core,
-                    operator: ops.operator_mut(slot),
-                    scratch,
-                };
-                stages[i].advance(&mut ctx);
-            }
-        }
-        stepped
+        self.live_slots.len()
     }
 
     /// Ticks until every session has retired.

@@ -52,7 +52,6 @@ mod protocol;
 mod runlog;
 pub mod safety;
 mod session;
-pub mod soa;
 mod station;
 
 pub use batch::{FixedRun, SessionBatch, SessionController};
@@ -67,7 +66,4 @@ pub use protocol::{
 };
 pub use runlog::{EgoSample, IncidentKind, IncidentMark, LeadObservation, OtherSample, RunLog};
 pub use session::{RdsSession, RdsSessionConfig, SessionStats};
-pub use soa::{BatchCtx, OperatorProvider, SoaLanes};
-pub use station::{
-    OperatorHotState, OperatorSubsystem, ReceivedFrame, ScriptedOperator, StationSpec,
-};
+pub use station::{OperatorSubsystem, ReceivedFrame, ScriptedOperator, StationSpec};

@@ -582,9 +582,9 @@ impl SessionCore {
 /// link, codec or operator variants without touching the core loop.
 #[derive(Debug)]
 pub struct RdsSession {
-    pub(crate) core: SessionCore,
-    pub(crate) stages: Vec<Box<dyn Stage>>,
-    pub(crate) scratch: StepScratch,
+    core: SessionCore,
+    stages: Vec<Box<dyn Stage>>,
+    scratch: StepScratch,
 }
 
 impl RdsSession {
@@ -656,22 +656,6 @@ impl RdsSession {
     /// The pipeline's stage names, in execution order.
     pub fn stage_names(&self) -> Vec<&'static str> {
         self.stages.iter().map(|s| s.name()).collect()
-    }
-
-    /// Whether this session can join the batched stage-major sweep:
-    /// the stage list still has the canonical ten-stage shape (names in
-    /// order — a replaced position is fine, it demotes per position via
-    /// [`Stage::is_default_impl`]) and no live telemetry recorder is
-    /// attached (the serial path emits one span sample per stage per
-    /// step, which the dense sweep deliberately does not replicate).
-    pub(crate) fn batched_eligible(&self) -> bool {
-        !self.core.recorder.enabled()
-            && self.stages.len() == crate::pipeline::CANONICAL_STAGE_NAMES.len()
-            && self
-                .stages
-                .iter()
-                .zip(crate::pipeline::CANONICAL_STAGE_NAMES)
-                .all(|(stage, name)| stage.name() == name)
     }
 
     /// Replaces the stage called `name` with `stage`, returning `true` if

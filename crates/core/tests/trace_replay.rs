@@ -1,5 +1,5 @@
 //! Trace-replay through a full session: dense measured-network edges
-//! must behave identically on the serial and SoA-batch paths, and a
+//! must behave identically serially and in a lockstep batch, and a
 //! rate-overloaded segment must surface *queue* drops (congestion)
 //! separately from loss-model drops in both telemetry and the timeline.
 
@@ -50,9 +50,9 @@ fn operator(seed: u64) -> ScriptedOperator {
 
 const STEPS: u64 = 300; // 6 s: past the trace end, so both edge kinds retire.
 
-/// The SoA batch's cached `next_edge_us` fast path must stay exact when
-/// config edges arrive every few ticks instead of twice a run: gathering
-/// the batch back must reproduce the serial run-log digests bit for bit.
+/// Config edges arriving every few ticks instead of twice a run must not
+/// disturb lockstep batching: six sessions stepped through one batch
+/// must reproduce the serial run-log digests bit for bit.
 #[test]
 fn dense_trace_edges_match_serial_digests_through_the_batch() {
     let trace = dense_trace();

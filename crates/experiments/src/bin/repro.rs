@@ -1,26 +1,17 @@
 //! Regenerates every table and figure of the paper.
 //!
-//! ```text
-//! repro [all|table1|table2|table3|table4|fig4|collisions|questionnaire|
-//!        validity|model-vehicle] [--seed N] [--quick] [--jobs N]
-//!       [--batch N] [--telemetry] [--telemetry-out FILE]
-//!       [--trace-in FILE] [--trace-out DIR] [--forensics DIR] [--progress]
-//!       [--report-out DIR] [--checkpoint FILE] [--resume]
-//!       [--interrupt-after N]
-//!       [--campaign RUNS] [--population N] [--sampler NAME] [--round N]
-//!       [--min-pulls N]
-//! ```
+//! `repro --help` lists every command and flag.
 //!
 //! `--quick` shortens the runs (for smoke testing); the full study drives
 //! two laps of the course per run, as the experiments in `EXPERIMENTS.md`
 //! were recorded. `--jobs N` runs the campaign's 36 runs on N
 //! work-stealing worker threads (default: available parallelism);
-//! `--batch N` makes each worker step up to N runs in lockstep through
-//! the SoA batch engine (default: 1 for the roster study, 16 for
+//! `--batch N` makes each worker step up to N runs in lockstep
+//! (default: 1 for the roster study, 16 for
 //! `--campaign`; the batch clamps to the jobs remaining). Results are
 //! bit-identical for every jobs × batch combination — the printed
-//! campaign digest is the proof, and the CI `parallel-equivalence` and
-//! `soa-equivalence` jobs hold it for both knobs. `--telemetry` records pipeline telemetry during the
+//! campaign digest is the proof, and the CI `parallel-equivalence` job
+//! holds it for both knobs. `--telemetry` records pipeline telemetry during the
 //! study runs and appends a campaign report (frame/command age quantiles,
 //! per-fault-window packet accounting, stage timings, steps/sec).
 //! `--telemetry-out FILE` additionally writes the campaign telemetry as
@@ -92,6 +83,39 @@ use rdsim_obs::{write_f64, write_json_string, CampaignStore, Z_95};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// `repro --help` text: every command and every flag the parser accepts.
+const USAGE: &str = "\
+usage: repro [COMMAND] [FLAGS]
+
+Regenerates the paper's tables and figures from a simulated user study.
+
+commands:
+  all (default)  table1  table2  table3  table4  fig4  collisions
+  questionnaire  validity  model-vehicle
+
+flags:
+  --seed N              master seed (default 424242)
+  --quick               shortened runs, for smoke testing
+  --jobs N              worker threads (default: available parallelism)
+  --batch N             lockstep width per worker (1; 16 with --campaign)
+  --telemetry           print the campaign telemetry report
+  --telemetry-out FILE  write campaign telemetry as JSON to FILE
+  --trace-in FILE       replay a measured network trace (JSONL or CSV)
+  --trace-out DIR       write Perfetto traces and incident dumps to DIR
+  --forensics DIR       write per-run timelines and incident dossiers to DIR
+  --progress            live campaign status line on stderr
+  --report-out DIR      write the deterministic campaign report to DIR
+  --checkpoint FILE     append each completed run to a JSONL checkpoint
+  --resume              run only the runs missing from --checkpoint
+  --interrupt-after N   stop after N runs
+  --campaign RUNS       adaptive population campaign with a budget of RUNS
+  --population N        synthesized subjects (default 24)
+  --sampler NAME        uniform, ucb (default) or ci-width
+  --round N             runs per sampler round (default 8)
+  --min-pulls N         support floor per cell (default 2)
+  -h, --help            print this help and exit
+";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut command = "all".to_owned();
@@ -117,6 +141,10 @@ fn main() -> ExitCode {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
+            "-h" | "--help" => {
+                print!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
             "--seed" => match iter.next().and_then(|s| s.parse().ok()) {
                 Some(s) => seed = s,
                 None => {
@@ -288,8 +316,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if let Some(budget) = campaign {
-        // Population campaigns default to a real lockstep width: the SoA
-        // batch engine makes 16-wide sweeps the sensible resting state.
+        // Population campaigns default to a 16-wide lockstep batch.
         // Results are bit-identical for every width (the digest line
         // below still prints the resolved knob), so this only changes
         // throughput, never output.

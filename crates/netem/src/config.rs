@@ -162,6 +162,14 @@ pub const BDP_REFERENCE_PACKET: u64 = 1500;
 /// from degenerating into drop-every-burst.
 pub const MIN_AUTO_LIMIT: u32 = 16;
 
+/// Ceiling on a rule's delay base and jitter, in milliseconds (one day).
+///
+/// A packet is released at its send time plus up to `base + jitter` of
+/// simulated time; holding both under this ceiling keeps that sum far
+/// inside the `u64` microsecond range of a sim time, so a rule parsed
+/// from outside input can never overflow the link's clock arithmetic.
+pub const MAX_DELAY_MS: f64 = 86_400_000.0;
+
 impl NetemConfig {
     /// A config that passes traffic through untouched.
     pub fn passthrough() -> Self {
@@ -286,7 +294,15 @@ impl NetemConfig {
             if d.base.get() < 0.0 || !d.base.get().is_finite() {
                 return Err(format!("delay base must be non-negative, got {}", d.base));
             }
-            if d.jitter.get() < 0.0 || d.jitter.get() > d.base.get() {
+            if d.base.get() > MAX_DELAY_MS {
+                return Err(format!(
+                    "delay base must be at most {MAX_DELAY_MS} ms, got {}",
+                    d.base
+                ));
+            }
+            // `base` is finite and capped, so bounding jitter by it caps
+            // jitter too (and the negated range also rejects NaN).
+            if !(0.0..=d.base.get()).contains(&d.jitter.get()) {
                 return Err(format!(
                     "jitter must be within [0, base]; got jitter {} base {}",
                     d.jitter, d.base

@@ -416,6 +416,14 @@ mod tests {
         // Validation errors propagate: reorder without delay.
         let e = "reorder 25%".parse::<NetemConfig>().unwrap_err();
         assert!(e.to_string().contains("requires a delay"));
+        // Delays past the clock-safe ceiling are rejected, not deferred
+        // to an overflow in the link.
+        let e = "delay 1e300ms".parse::<NetemConfig>().unwrap_err();
+        assert!(e.to_string().contains("at most"), "{e}");
+        let e = "delay 18446744073709551616us"
+            .parse::<NetemConfig>()
+            .unwrap_err();
+        assert!(e.to_string().contains("at most"), "{e}");
     }
 
     #[test]

@@ -83,10 +83,9 @@ pub struct TraceSample {
 /// A measured network time-series, pre-compiled into deterministic
 /// config edges.
 ///
-/// Construction parses and validates eagerly, so replay (and the batch
-/// engine's cached-edge invariants) never see a malformed sample. Equal
-/// consecutive conditions are merged at compile time: the injector sees
-/// one window per *edge*, not one per sample.
+/// Construction parses and validates eagerly, so replay never sees a
+/// malformed sample. Equal consecutive conditions are merged at compile
+/// time: the injector sees one window per *edge*, not one per sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSchedule {
     label: String,
@@ -104,8 +103,9 @@ impl TraceSchedule {
     /// # Errors
     ///
     /// Returns a [`TraceParseError`] naming the first malformed line:
-    /// unparsable fields, non-increasing timestamps, negative values, or
-    /// an empty series.
+    /// unparsable fields, non-increasing timestamps, negative values, a
+    /// trace whose end is not a representable sim time, or an empty
+    /// series.
     pub fn parse(label: &str, text: &str) -> Result<TraceSchedule, TraceParseError> {
         let mut samples: Vec<TraceSample> = Vec::new();
         let mut csv_header: Option<Vec<String>> = None;
@@ -143,18 +143,25 @@ impl TraceSchedule {
         if samples.is_empty() {
             return Err(TraceParseError::new(0, "no samples"));
         }
-        Ok(TraceSchedule::compile(label, &samples))
+        TraceSchedule::compile(label, &samples)
     }
 
-    /// Compiles already-validated samples into edge windows.
-    fn compile(label: &str, samples: &[TraceSample]) -> TraceSchedule {
+    /// Compiles already-validated samples into edge windows. The trace
+    /// ends one inter-sample gap after its last sample; an end past the
+    /// sim clock's range is an error.
+    fn compile(label: &str, samples: &[TraceSample]) -> Result<TraceSchedule, TraceParseError> {
         let n = samples.len();
         let hold = if n >= 2 {
             samples[n - 1].t.saturating_since(samples[n - 2].t)
         } else {
             SINGLE_SAMPLE_HOLD
         };
-        let end = samples[n - 1].t + hold;
+        let end = samples[n - 1]
+            .t
+            .as_micros()
+            .checked_add(hold.as_micros())
+            .map(SimTime::from_micros)
+            .ok_or_else(|| TraceParseError::new(0, "trace end overflows the sim clock"))?;
         // Merge runs of equal conditions, then emit one window per
         // non-passthrough segment; passthrough segments are gaps.
         let mut windows = Vec::new();
@@ -176,12 +183,12 @@ impl TraceSchedule {
             }
             i = j;
         }
-        TraceSchedule {
+        Ok(TraceSchedule {
             label: label.to_owned(),
             windows,
             end,
             samples: n,
-        }
+        })
     }
 
     /// The trace's name (conventionally the source file stem).
@@ -459,6 +466,14 @@ t,delay_ms,jitter_ms,loss_pct,rate_kbit
         assert!(e.to_string().contains("unknown CSV column"));
         let e = TraceSchedule::parse("x", "{\"t\": 0, \"delay_ms\": -3}\n").unwrap_err();
         assert!(e.to_string().contains("bad delay_ms"));
+        let e = TraceSchedule::parse(
+            "x",
+            "{\"t\":0,\"delay_ms\":5}\n{\"t\":1e300,\"delay_ms\":6}\n",
+        )
+        .unwrap_err();
+        assert!(e.to_string().contains("overflows the sim clock"), "{e}");
+        let e = TraceSchedule::parse("x", "{\"t\": 0, \"delay_ms\": 1e300}\n").unwrap_err();
+        assert!(e.to_string().contains("at most"), "{e}");
     }
 
     #[test]

@@ -433,16 +433,7 @@ impl OperatorSubsystem for HumanDriverModel {
         // Hand dynamics: slew the wheel toward the target.
         let max_step = self.params.wheel_rate * dt;
         self.wheel += (self.steer_target - self.wheel).clamp(-max_step, max_step);
-        let _ = Radians::ZERO;
         ControlInput::new(self.throttle, self.brake, self.wheel)
-    }
-
-    fn hot_state(&self) -> Option<rdsim_core::OperatorHotState> {
-        Some(rdsim_core::OperatorHotState {
-            wheel: self.wheel,
-            steer_target: self.steer_target,
-            next_update_us: self.next_update_at.as_micros(),
-        })
     }
 }
 

@@ -5,7 +5,6 @@ use crate::{
     obb_overlap, Actor, ActorId, ActorKind, ActorSnapshot, Behavior, CollisionEvent,
     LaneInvasionEvent, WorldSnapshot,
 };
-use rdsim_math::RngStream;
 use rdsim_roadnet::{LaneId, LanePosition, RoadNetwork};
 use rdsim_units::{Meters, MetersPerSecond, Ratio, SimDuration, SimTime};
 use rdsim_vehicle::{ControlInput, VehicleSpec, VehicleState};
@@ -41,13 +40,14 @@ pub struct World {
     control_scratch: Vec<ControlInput>,
     /// Reusable candidate buffer for lane re-anchoring — sensor scratch.
     lane_candidates: Vec<LaneId>,
-    #[allow(dead_code)]
-    rng: RngStream,
 }
 
 impl World {
     /// Creates an empty world on the given road network.
-    pub fn new(net: RoadNetwork, seed: u64) -> Self {
+    ///
+    /// World stepping is deterministic and draws no randomness; `_seed`
+    /// is kept so call sites keep naming the run they build a world for.
+    pub fn new(net: RoadNetwork, _seed: u64) -> Self {
         World {
             net,
             actors: Vec::new(),
@@ -64,7 +64,6 @@ impl World {
             lane_invasion_total: 0,
             control_scratch: Vec::new(),
             lane_candidates: Vec::new(),
-            rng: RngStream::from_seed(seed).substream("world"),
         }
     }
 

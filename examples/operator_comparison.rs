@@ -3,9 +3,8 @@
 //! designed to probe (§V.E, §VII).
 //!
 //! All nine subject × fault cells are independent sessions, so they run
-//! through the SoA batch engine ([`SessionBatch`]) in lockstep sweeps of
-//! up to [`BATCH`] sessions — bit-identical to stepping them one at a
-//! time, just faster.
+//! through a [`SessionBatch`] in lockstep groups of up to [`BATCH`]
+//! sessions — bit-identical to stepping them one at a time.
 //!
 //! ```text
 //! cargo run --release --example operator_comparison
@@ -22,8 +21,7 @@ use rdsim::simulator::World;
 use rdsim::units::{MetersPerSecond, SimDuration};
 use rdsim::vehicle::VehicleSpec;
 
-/// Default lockstep width for the batch engine — the sensible resting
-/// state now that the SoA sweep makes wide batches cheap.
+/// Lockstep width of each batch.
 const BATCH: usize = 16;
 
 fn subject(

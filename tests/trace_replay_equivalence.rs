@@ -1,7 +1,7 @@
 //! Trace replay must be schedule-invisible, exactly like every other
 //! fault source: for a fixed seed, a run driven by a measured-network
-//! trace digests identically whether it executes serially, through the
-//! SoA lockstep batch, or across worker threads — and the digest pins
+//! trace digests identically whether it executes serially, through a
+//! lockstep batch, or across worker threads — and the digest pins
 //! both the trace's content (through the injection-event log) and its
 //! identity (through the `trace:<label>` condition).
 //!
@@ -60,8 +60,8 @@ fn trace_runs_are_identical_serial_batched_and_parallel() {
     let parallel = digests_with_jobs(4);
     assert_eq!(serial, parallel, "worker count leaked into a trace run");
 
-    // The same four runs as one SoA lockstep batch (width 4 > any
-    // single-session fast path, dense trace edges throughout).
+    // The same four runs as one lockstep batch of width 4 (dense trace
+    // edges throughout).
     let config = trace_config("5g_urban");
     let jobs: Vec<ProtocolJob> = matrix()
         .into_iter()
