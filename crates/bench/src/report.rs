@@ -3,7 +3,7 @@
 //! The custom-harness benches (`campaign`, `session`, `obs`, `alloc`)
 //! each record their headline numbers at the workspace root so CI can
 //! gate on them (`grep '"digest_match": true' BENCH_session.json`, the
-//! alloc-regression job's allocs/step gate). They used to hand-roll the
+//! allocs/step gate in `BENCH_alloc.json`). They used to hand-roll the
 //! JSON with `write!`; this module is the one shared writer.
 //!
 //! The output stays deliberately simple — two-space indent, one
@@ -56,7 +56,7 @@ fn render(value: &Value, out: &mut String) {
 }
 
 /// A flat group of key/value pairs rendered inline, e.g.
-/// `{"batch_1": 1.25, "batch_4": 1.19}`.
+/// `{"serial": 0.133, "rate_limited": 0.134}`.
 #[derive(Debug, Clone, Default)]
 pub struct Group {
     fields: Vec<(String, Value)>,

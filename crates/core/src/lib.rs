@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 pub mod campaign;
 pub mod digest;
 pub mod fault;
@@ -54,7 +53,6 @@ pub mod safety;
 mod session;
 mod station;
 
-pub use batch::{FixedRun, SessionBatch, SessionController};
 pub use campaign::{random_schedule, RunKind, RunRecord, ScheduledFault};
 pub use digest::Digestible;
 pub use fault::{FaultKind, FaultSpec, PaperFault};

@@ -26,8 +26,9 @@
 //!              → downlink → actuate → safety → logging
 //! ```
 //!
-//! A [`crate::SessionBatch`] steps its sessions through this same list,
-//! so a custom stage implements [`Stage::advance`] and nothing else.
+//! Every run steps through this one list, one [`crate::RdsSession::step`]
+//! at a time, so a custom stage implements [`Stage::advance`] and nothing
+//! else.
 
 use crate::session::SessionCore;
 use crate::{

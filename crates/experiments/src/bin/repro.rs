@@ -6,14 +6,14 @@
 //! two laps of the course per run, as the experiments in `EXPERIMENTS.md`
 //! were recorded. `--jobs N` runs the campaign's 36 runs on N
 //! work-stealing worker threads (default: available parallelism);
-//! `--batch N` makes each worker step up to N runs in lockstep
-//! (default: 1 for the roster study, 16 for
-//! `--campaign`; the batch clamps to the jobs remaining). Results are
-//! bit-identical for every jobs × batch combination — the printed
-//! campaign digest is the proof, and the CI `parallel-equivalence` job
-//! holds it for both knobs. `--telemetry` records pipeline telemetry during the
-//! study runs and appends a campaign report (frame/command age quantiles,
-//! per-fault-window packet accounting, stage timings, steps/sec).
+//! `--batch N` makes each executor task carry N runs, run one after
+//! another (default 1; the last task clamps to the runs remaining).
+//! Results are bit-identical for every jobs × batch combination — the
+//! printed campaign digest is the proof, and the CI `schedule-invariance`
+//! job holds it for both knobs. `--telemetry` records pipeline telemetry
+//! during the study runs and appends a campaign report (frame/command age
+//! quantiles, per-fault-window packet accounting, stage timings,
+//! steps/sec).
 //! `--telemetry-out FILE` additionally writes the campaign telemetry as
 //! machine-readable JSON to FILE (the stdout table is unchanged, and is
 //! only printed when `--telemetry` itself is passed).
@@ -24,7 +24,7 @@
 //! becomes the run's `trace:<stem>` campaign condition, and the printed
 //! campaign digest covers both the trace's identity and its content —
 //! byte-identical across `--jobs`/`--batch` (the CI
-//! `trace-replay-determinism` job holds it).
+//! `schedule-invariance` job holds it).
 //! `--trace-out DIR` retains each study run's flight-recorder snapshot
 //! and writes it as Chrome/Perfetto `trace_event` JSON
 //! (`DIR/<subject>_<kind>.trace.json`, loadable in ui.perfetto.dev or
@@ -38,7 +38,7 @@
 //! the ±5 s timeline windows, the flight-recorder slice, the overlapping
 //! fault windows, and the operator command history around the mark. Both
 //! are deterministic: byte-identical for every `--jobs`/`--batch`
-//! schedule (the CI `forensics-determinism` job diffs them).
+//! schedule (the CI `schedule-invariance` job diffs them).
 //!
 //! The remaining flags engage the **campaign observatory** (streaming
 //! per-run aggregation; see `DESIGN.md` §11). `--progress` renders a live
@@ -53,7 +53,7 @@
 //! (wall-clock rollups; not deterministic). With any observatory flag the
 //! run prints a `campaign store digest:` line whose bytes are invariant
 //! across `--jobs`, `--batch`, and interrupt/resume splits — the CI
-//! `resume-equivalence` job diffs that line and `campaign.json`.
+//! `schedule-invariance` job diffs that line and `campaign.json`.
 //!
 //! `--campaign RUNS` replaces the 12-subject study with an **adaptive
 //! population campaign** (DESIGN §13): `--population N` (default 24)
@@ -64,7 +64,7 @@
 //! stdout reports the population digest, every round's
 //! allocation, and the campaign store digest — all byte-identical across
 //! `--jobs`/`--batch` and across interrupt/resume (the CI
-//! `campaign-sampler-determinism` job diffs them). `--checkpoint` /
+//! `schedule-invariance` job diffs them). `--checkpoint` /
 //! `--resume` / `--interrupt-after` / `--progress` work as above;
 //! `--report-out DIR` additionally writes `DIR/sampler.json`, the
 //! deterministic per-round decision log.
@@ -97,7 +97,7 @@ flags:
   --seed N              master seed (default 424242)
   --quick               shortened runs, for smoke testing
   --jobs N              worker threads (default: available parallelism)
-  --batch N             lockstep width per worker (1; 16 with --campaign)
+  --batch N             runs per executor task (default 1)
   --telemetry           print the campaign telemetry report
   --telemetry-out FILE  write campaign telemetry as JSON to FILE
   --trace-in FILE       replay a measured network trace (JSONL or CSV)
@@ -122,7 +122,7 @@ fn main() -> ExitCode {
     let mut seed = 424242u64;
     let mut quick = false;
     let mut jobs = default_jobs();
-    let mut batch: Option<usize> = None;
+    let mut batch = 1usize;
     let mut telemetry = false;
     let mut telemetry_out: Option<PathBuf> = None;
     let mut trace_in: Option<PathBuf> = None;
@@ -160,7 +160,7 @@ fn main() -> ExitCode {
                 }
             },
             "--batch" => match iter.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => batch = Some(n),
+                Some(n) if n >= 1 => batch = n,
                 _ => {
                     eprintln!("--batch needs an integer >= 1");
                     return ExitCode::FAILURE;
@@ -305,7 +305,7 @@ fn main() -> ExitCode {
     );
     // Any observatory flag switches the campaign onto the streaming path;
     // without them the study runs exactly as before (byte-identical
-    // output — the alloc-regression golden file pins it).
+    // output — the tests/golden/repro_quick.txt golden pins it).
     let observatory = progress
         || report_out.is_some()
         || checkpoint.is_some()
@@ -316,11 +316,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if let Some(budget) = campaign {
-        // Population campaigns default to a 16-wide lockstep batch.
-        // Results are bit-identical for every width (the digest line
-        // below still prints the resolved knob), so this only changes
-        // throughput, never output.
-        let batch = batch.unwrap_or(16);
         let mut sampler_cfg = SamplerConfig::new(sampler);
         sampler_cfg.round_size = round;
         if let Some(floor) = min_pulls {
@@ -347,7 +342,7 @@ fn main() -> ExitCode {
         return match run_population_campaign(&opts) {
             Ok(o) => {
                 // Everything printed here is schedule- and resume-
-                // invariant: the CI campaign-sampler-determinism job
+                // invariant: the CI schedule-invariance job
                 // byte-diffs the whole stdout across --jobs 1/4 and
                 // across interrupt+resume.
                 println!(
@@ -389,10 +384,6 @@ fn main() -> ExitCode {
             }
         };
     }
-    // The roster study keeps the serial-equivalent default: its output
-    // (and the alloc-regression golden) is pinned byte-for-byte, and CI
-    // byte-diffs it across explicit --batch values anyway.
-    let batch = batch.unwrap_or(1);
     let mut outcome: Option<CampaignOutcome> = None;
     let study: Option<StudyResults> = if needs_study {
         eprintln!(
@@ -482,7 +473,7 @@ fn main() -> ExitCode {
             campaign_digest(study)
         );
         // Schedule-invariant by construction (no jobs/batch report): the
-        // CI trace-replay-determinism job both byte-diffs and greps it.
+        // CI schedule-invariance job both byte-diffs and greps it.
         if let Some(trace) = &config.ambient_trace {
             println!(
                 "trace condition: {} ({} sample(s), {} edge(s))",
@@ -494,7 +485,7 @@ fn main() -> ExitCode {
     }
     if let Some(o) = &outcome {
         // The whole line is schedule-invariant (no jobs/batch report) and
-        // resume-invariant: the CI resume-equivalence job byte-diffs it
+        // resume-invariant: the CI schedule-invariance job byte-diffs it
         // between a single-shot and an interrupted-then-resumed campaign.
         println!(
             "campaign store digest: {:016x} ({} of {} runs)",

@@ -159,7 +159,7 @@ pub fn campaign_digest(results: &StudyResults) -> u64 {
 /// [`StableHasher`] layer as the run and campaign digests (the store's own
 /// `fingerprint` already excludes wall clocks and `executor.*` fleet
 /// instruments). This is the whole-line observable the CI
-/// `resume-equivalence` job byte-diffs: identical for a single-shot
+/// `schedule-invariance` job byte-diffs: identical for a single-shot
 /// campaign and any interrupted-then-resumed execution of the same seed,
 /// at any `--jobs`/`--batch`.
 pub fn store_digest(store: &CampaignStore) -> u64 {

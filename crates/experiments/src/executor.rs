@@ -1,6 +1,6 @@
 //! Work-stealing parallel job executor.
 //!
-//! [`execute_ordered`] runs a batch of independent jobs across worker
+//! [`execute_ordered`] runs a set of independent jobs across worker
 //! threads and returns results **in job order**, regardless of which
 //! worker finished which job when. Combined with the pure per-run seed
 //! derivation in [`crate::seeds`], this makes parallel campaign execution
@@ -13,6 +13,9 @@
 //! thread, and [`Stealer`] handles so idle workers first drain the
 //! injector in batches and then steal from busy siblings. A worker retires
 //! when its own queue, the injector and every sibling queue are empty.
+//! One scheduler, [`execute_ordered_batched_with`], does all of this;
+//! [`execute_ordered`] and [`execute_ordered_batched`] are thin calls
+//! into it.
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,7 +30,8 @@ pub fn default_jobs() -> usize {
 }
 
 /// Runs every job on `workers` threads and returns the results in the
-/// order the jobs were given.
+/// order the jobs were given: [`execute_ordered_batched`] with one job
+/// per task.
 ///
 /// `workers` is clamped to `1..=jobs.len()`; with one worker the jobs run
 /// serially on the calling thread (no spawn overhead, same results).
@@ -42,59 +46,18 @@ where
     R: Send,
     F: Fn(J) -> R + Sync,
 {
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    if workers == 1 {
-        return jobs.into_iter().map(run).collect();
-    }
-
-    let injector: Injector<(usize, J)> = Injector::new();
-    for job in jobs.into_iter().enumerate() {
-        injector.push(job);
-    }
-    let locals: Vec<Worker<(usize, J)>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<(usize, J)>> = locals.iter().map(Worker::stealer).collect();
-
-    let mut indexed: Vec<(usize, R)> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = locals
-            .into_iter()
-            .enumerate()
-            .map(|(me, local)| {
-                let injector = &injector;
-                let stealers = stealers.as_slice();
-                let run = &run;
-                scope.spawn(move |_| {
-                    let mut done: Vec<(usize, R)> = Vec::new();
-                    while let Some((index, job)) = find_task(&local, injector, stealers, me) {
-                        done.push((index, run(job)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("executor worker panicked"))
-            .collect()
+    execute_ordered_batched(jobs, workers, 1, |chunk| {
+        chunk.into_iter().map(&run).collect()
     })
-    .expect("executor scope");
-
-    debug_assert_eq!(indexed.len(), n, "every job must produce a result");
-    indexed.sort_unstable_by_key(|(index, _)| *index);
-    indexed.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Runs jobs in lockstep batches of `batch` across `workers` threads and
-/// returns results in job order.
+/// Runs jobs in chunks of `batch` across `workers` threads and returns
+/// results in job order: [`execute_ordered_batched_with`] without a hook.
 ///
 /// Jobs are chunked in submission order into groups of at most `batch`
-/// (the tail chunk — and therefore the batch size — clamps to the jobs
-/// remaining), each chunk becomes one executor task, and `run_batch` maps
-/// a chunk to its results, one per job, in chunk order. With `batch <= 1`
-/// this degenerates to [`execute_ordered`] semantics: one job per task.
+/// (the tail chunk clamps to the jobs remaining), each chunk becomes one
+/// executor task, and `run_batch` maps a chunk to its results, one per
+/// job, in chunk order. With `batch <= 1` every job is its own task.
 ///
 /// # Panics
 ///
@@ -111,25 +74,7 @@ where
     R: Send,
     F: Fn(Vec<J>) -> Vec<R> + Sync,
 {
-    let batch = batch.max(1);
-    let mut chunks: Vec<Vec<J>> = Vec::new();
-    let mut jobs = jobs.into_iter();
-    loop {
-        let chunk: Vec<J> = jobs.by_ref().take(batch).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
-    execute_ordered(chunks, workers, |chunk| {
-        let n = chunk.len();
-        let results = run_batch(chunk);
-        assert_eq!(results.len(), n, "run_batch must return one result per job");
-        results
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    execute_ordered_batched_with(jobs, workers, batch, run_batch, |_: ChunkDone<'_, R>| {})
 }
 
 /// What the completion hook of [`execute_ordered_batched_with`] learns
@@ -144,9 +89,9 @@ where
 pub struct ChunkDone<'a, R> {
     /// Index of the worker thread that ran the chunk (0-based).
     pub worker: usize,
-    /// Chunk index in submission order (`chunk * batch` is the first
-    /// job's index).
-    pub chunk: usize,
+    /// Job index of the chunk's first result: `results[i]` is job
+    /// `first + i`.
+    pub first: usize,
     /// The chunk's results, in chunk order.
     pub results: &'a [R],
     /// Chunks not yet completed anywhere after this one (a queue-depth
@@ -156,15 +101,22 @@ pub struct ChunkDone<'a, R> {
     pub busy_ns: u64,
 }
 
-/// [`execute_ordered_batched`] plus a completion hook: `on_chunk` fires
-/// on the *worker thread* right after each chunk finishes, in completion
-/// order (not submission order — that is the point: it is the streaming
-/// side channel the campaign observatory folds summaries through while
-/// the ordered result vector is still being assembled).
+/// The executor: runs jobs in chunks of `batch` (see
+/// [`execute_ordered_batched`]) across `workers` threads, returns results
+/// in job order, and fires a completion hook. `on_chunk` fires on the
+/// *worker thread* right after each chunk finishes, in completion order
+/// (not submission order — that is the point: it is the streaming side
+/// channel the campaign observatory folds summaries through while the
+/// ordered result vector is still being assembled).
 ///
 /// The hook must be `Sync`; it runs concurrently from every worker.
-/// Results are still returned in job order, bit-identical to
-/// [`execute_ordered_batched`] — the hook observes, it cannot reorder.
+/// Results are still returned in job order, whatever the hook does — it
+/// observes, it cannot reorder.
+///
+/// # Panics
+///
+/// Panics if a job panics, or if `run_batch` returns a different number
+/// of results than jobs it was given.
 pub fn execute_ordered_batched_with<J, R, F, H>(
     jobs: Vec<J>,
     workers: usize,
@@ -202,7 +154,7 @@ where
         let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
         on_chunk(ChunkDone {
             worker,
-            chunk: index,
+            first: index * batch,
             results: &results,
             pending: total - done,
             busy_ns,
@@ -395,7 +347,7 @@ mod tests {
                 |done: ChunkDone<'_, u64>| {
                     seen.lock().unwrap().push((
                         done.worker,
-                        done.chunk,
+                        done.first,
                         done.results.len(),
                         done.pending,
                     ));
@@ -406,11 +358,11 @@ mod tests {
             // 23 jobs at batch 5 → 5 chunks (4×5 + 1×3).
             assert_eq!(seen.len(), 5, "workers {workers}");
             assert!(seen.iter().all(|&(w, ..)| w < workers));
-            // Every chunk index appears exactly once and its result count
-            // matches the chunk shape.
-            seen.sort_unstable_by_key(|&(_, chunk, ..)| chunk);
-            let shapes: Vec<(usize, usize)> = seen.iter().map(|&(_, c, n, _)| (c, n)).collect();
-            assert_eq!(shapes, vec![(0, 5), (1, 5), (2, 5), (3, 5), (4, 3)]);
+            // Every chunk's first job index appears exactly once and its
+            // result count matches the chunk shape.
+            seen.sort_unstable_by_key(|&(_, first, ..)| first);
+            let shapes: Vec<(usize, usize)> = seen.iter().map(|&(_, f, n, _)| (f, n)).collect();
+            assert_eq!(shapes, vec![(0, 5), (5, 5), (10, 5), (15, 5), (20, 3)]);
             // Pending counts are a permutation of 0..chunks (each completion
             // decrements by one, in some completion order).
             let mut pending: Vec<usize> = seen.iter().map(|&(.., p)| p).collect();

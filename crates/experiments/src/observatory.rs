@@ -18,7 +18,7 @@
 //! runs the store does not contain. The resulting store fingerprint is
 //! identical to a single-shot campaign's, for any interrupt point and any
 //! `--jobs`/`--batch` schedule; `tests/resume_equivalence.rs` and the CI
-//! `resume-equivalence` job hold that equality.
+//! `schedule-invariance` job hold that equality.
 //!
 //! [`RunRecord`]: rdsim_core::RunRecord
 
@@ -326,7 +326,7 @@ pub struct CampaignOptions {
     pub config: ScenarioConfig,
     /// Worker threads.
     pub jobs: usize,
-    /// Lockstep batch size per worker.
+    /// Runs per executor task, run one after another (default 1).
     pub batch: usize,
     /// Render the live progress line on stderr.
     pub progress: bool,
@@ -461,13 +461,13 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignOutcome, String> {
             )
         },
         |done: ChunkDone<'_, RunOutput>| {
-            // Lockstep batches are not separable per run; attribute the
-            // chunk's wall time evenly.
+            // The hook times whole chunks; attribute a chunk's wall time
+            // evenly to its runs (exact at the default batch of 1).
             let per_run_ns = done.busy_ns / done.results.len().max(1) as u64;
             chunk_ns.record(done.busy_ns);
             queue_depth_max.fetch_max(done.pending as u64, Ordering::Relaxed);
             for (i, output) in done.results.iter().enumerate() {
-                let (subject, kind) = remaining[done.chunk * batch + i];
+                let (subject, kind) = remaining[done.first + i];
                 let seed = crate::seeds::run_seed(opts.seed, &roster[subject].profile.id, kind);
                 let summary = summarize_run(SCENARIO, seed, output, per_run_ns);
                 if let Some(w) = &writer {

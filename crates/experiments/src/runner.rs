@@ -1,20 +1,16 @@
 //! Runs protocol runs (training / golden / faulty) for subjects.
 //!
-//! A run is expressed as a [`rdsim_core::SessionController`] (the
-//! private `ProtocolDriver`): the per-tick scenario direction — progress
+//! A run is a session plus its scenario director (the private
+//! `ProtocolDriver`): the per-tick scenario direction — progress
 //! accounting, the test leader's instructions, lead-vehicle phase
 //! scripting and point-of-interest fault injection — happens in its
-//! `pre_step`, and the session pipeline does the rest. That makes one
-//! run and a batch of runs the *same code path*: [`run_protocol`] is a
-//! [`run_protocol_batch`] of one, and [`run_protocol_batch`] steps N
-//! independent runs in lockstep on one worker via
-//! [`rdsim_core::SessionBatch`].
+//! `pre_step`, and the session pipeline does the rest. Every run goes
+//! through the same loop, `while pre_step { step }`, to completion:
+//! [`run_protocol`] runs one, and [`run_protocol_batch`] runs its jobs
+//! one after another on the calling thread.
 
 use crate::{CourseMap, ScenarioPlan};
-use rdsim_core::{
-    PaperFault, RdsSession, RdsSessionConfig, RunKind, RunRecord, ScheduledFault, SessionBatch,
-    SessionController,
-};
+use rdsim_core::{PaperFault, RdsSession, RdsSessionConfig, RunKind, RunRecord, ScheduledFault};
 use rdsim_math::RngStream;
 use rdsim_netem::{InjectionWindow, TraceSchedule};
 use rdsim_obs::{Recorder, Registry, RunTelemetry, Timeline, TraceLog, Tracer};
@@ -184,54 +180,37 @@ pub struct ProtocolJob {
 /// at the plan's points of interest, drawing a random fault per point per
 /// lap exactly as §V.C describes.
 ///
-/// Equivalent to a [`run_protocol_batch`] of one job (it is exactly
-/// that), so serial and batched campaigns share one code path.
+/// Every run, alone or in a [`run_protocol_batch`], goes through this
+/// function, so serial and chunked campaigns share one code path.
 pub fn run_protocol(
     profile: &SubjectProfile,
     kind: RunKind,
     seed: u64,
     config: &ScenarioConfig,
 ) -> RunOutput {
-    run_protocol_batch(vec![ProtocolJob {
-        profile: profile.clone(),
-        kind,
-        seed,
-        config: config.clone(),
-    }])
-    .pop()
-    .expect("one job in, one output out")
+    let (session, driver) = build_run(profile, kind, seed, config);
+    driver.run(session)
 }
 
-/// Runs a batch of independent protocol runs in lockstep on the calling
+/// Runs independent protocol runs one after another on the calling
 /// thread, returning outputs in job order.
 ///
-/// Each run owns its world, links, RNG streams and driver, so lockstep
-/// interleaving is bit-for-bit identical to running the jobs serially
-/// (the parallel-equivalence suite pins this); batching amortizes
-/// scheduling and keeps the stage code hot in cache across sessions.
+/// Each run owns its world, links, RNG streams and driver, so a chunk of
+/// runs computes exactly what the same runs compute one call at a time
+/// (`chunked_runs_match_single_runs` pins this).
 pub fn run_protocol_batch(jobs: Vec<ProtocolJob>) -> Vec<RunOutput> {
-    let mut batch = SessionBatch::new();
-    for job in &jobs {
-        let (session, driver) = build_run(job);
-        batch.push(session, driver);
-    }
-    batch.run_to_completion();
-    batch
-        .finish()
-        .into_iter()
-        .map(|(session, driver)| driver.finish(session))
+    jobs.iter()
+        .map(|job| run_protocol(&job.profile, job.kind, job.seed, &job.config))
         .collect()
 }
 
-/// Builds one run's session and its scenario controller.
-fn build_run(job: &ProtocolJob) -> (RdsSession, ProtocolDriver) {
-    let ProtocolJob {
-        profile,
-        kind,
-        seed,
-        config,
-    } = job;
-    let (kind, seed) = (*kind, *seed);
+/// Builds one run's session and its scenario director.
+fn build_run(
+    profile: &SubjectProfile,
+    kind: RunKind,
+    seed: u64,
+    config: &ScenarioConfig,
+) -> (RdsSession, ProtocolDriver) {
     let net = town05();
     let course = CourseMap::new(&net);
     let plan = ScenarioPlan::town05();
@@ -344,7 +323,7 @@ fn build_run(job: &ProtocolJob) -> (RdsSession, ProtocolDriver) {
         }
     };
 
-    // --- Controller state.
+    // --- Director state.
     let target = config
         .progress_target
         .unwrap_or(config.laps as f64 * course.lap_length() - 40.0);
@@ -353,7 +332,7 @@ fn build_run(job: &ProtocolJob) -> (RdsSession, ProtocolDriver) {
     let prev_s = course.chain_s(session.world().network(), ego_pos(&session, ego));
     let max_steps = config.max_duration.div_steps(config.dt);
 
-    let controller = ProtocolDriver {
+    let director = ProtocolDriver {
         kind,
         config: config.clone(),
         profile_id: profile.id.clone(),
@@ -375,13 +354,12 @@ fn build_run(job: &ProtocolJob) -> (RdsSession, ProtocolDriver) {
         stopping: false,
         steps_left: max_steps,
     };
-    (session, controller)
+    (session, director)
 }
 
-/// Scenario direction for one protocol run, batched via
-/// [`SessionController`]: the serial loop's per-tick preamble lives in
-/// [`pre_step`](SessionController::pre_step), its loop condition in the
-/// retirement checks at the top of it.
+/// Scenario direction for one protocol run: [`ProtocolDriver::run`]
+/// steps the session while [`ProtocolDriver::pre_step`] — the per-tick
+/// preamble, whose retirement checks are the loop condition — says to.
 #[derive(Debug)]
 struct ProtocolDriver {
     kind: RunKind,
@@ -408,7 +386,16 @@ struct ProtocolDriver {
     steps_left: u64,
 }
 
-impl SessionController for ProtocolDriver {
+impl ProtocolDriver {
+    /// Steps `session` until the run retires, then finalises it.
+    fn run(mut self, mut session: RdsSession) -> RunOutput {
+        while self.pre_step(&mut session) {
+            session.step(&mut self.driver);
+        }
+        self.finish(session)
+    }
+
+    /// Directs the scenario before one step; `false` retires the run.
     fn pre_step(&mut self, session: &mut RdsSession) -> bool {
         // Retirement: out of steps (the max-duration guard), or the stop
         // instruction has brought the ego to rest after the previous step.
@@ -524,12 +511,6 @@ impl SessionController for ProtocolDriver {
         true
     }
 
-    fn operator_mut(&mut self) -> &mut dyn rdsim_core::OperatorSubsystem {
-        &mut self.driver
-    }
-}
-
-impl ProtocolDriver {
     /// Finalises a retired run: closes any dangling fault window and
     /// assembles the [`RunOutput`].
     fn finish(mut self, mut session: RdsSession) -> RunOutput {
@@ -712,10 +693,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_runs_match_serial_bit_for_bit() {
+    fn chunked_runs_match_single_runs() {
         use rdsim_core::Digestible;
-        // Mixed kinds and subjects in one lockstep batch; compare
-        // run-log digests and scenario outputs against one-at-a-time.
+        // Mixed kinds and subjects in one chunk; compare run-log digests
+        // and scenario outputs against one-at-a-time.
         let mut p2 = profile();
         p2.id = "TZ".to_owned();
         let cfg = ScenarioConfig::quick();
@@ -743,9 +724,9 @@ mod tests {
             .iter()
             .map(|j| run_protocol(&j.profile, j.kind, j.seed, &j.config))
             .collect();
-        let batched = run_protocol_batch(jobs);
-        assert_eq!(serial.len(), batched.len());
-        for (s, b) in serial.iter().zip(&batched) {
+        let chunked = run_protocol_batch(jobs);
+        assert_eq!(serial.len(), chunked.len());
+        for (s, b) in serial.iter().zip(&chunked) {
             assert_eq!(s.record.log.digest(), b.record.log.digest());
             assert_eq!(s.record.schedule, b.record.schedule);
             assert_eq!(s.progress, b.progress);

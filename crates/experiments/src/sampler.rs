@@ -265,7 +265,7 @@ pub struct PopulationOptions {
     pub config: ScenarioConfig,
     /// Worker threads.
     pub jobs: usize,
-    /// Lockstep batch size per worker.
+    /// Runs per executor task, run one after another (default 1).
     pub batch: usize,
     /// Render the live progress line on stderr.
     pub progress: bool,
@@ -339,7 +339,7 @@ struct GridCell {
 /// `resume(checkpoint) ∪ remaining runs` are byte-identical to a
 /// single-shot campaign's, for every interrupt point and every
 /// `jobs`/`batch` combination — `tests/resume_equivalence.rs` and the CI
-/// `campaign-sampler-determinism` job hold those equalities.
+/// `schedule-invariance` job hold those equalities.
 pub fn run_population_campaign(opts: &PopulationOptions) -> Result<PopulationOutcome, String> {
     if opts.population == 0 {
         return Err("population must be at least 1".to_owned());
@@ -510,7 +510,7 @@ pub fn run_population_campaign(opts: &PopulationOptions) -> Result<PopulationOut
                     chunk_ns.record(done.busy_ns);
                     queue_depth_max.fetch_max(done.pending as u64, Ordering::Relaxed);
                     for (i, output) in done.results.iter().enumerate() {
-                        let (ci, mi) = exec_jobs[done.chunk * batch + i];
+                        let (ci, mi) = exec_jobs[done.first + i];
                         let cell = &cells[ci];
                         let subject = &population[mi];
                         let seed =

@@ -221,18 +221,18 @@ pub fn run_study(seed: u64, config: &ScenarioConfig) -> StudyResults {
 ///   in that (roster) order — completion order never reaches the fold.
 ///
 /// The equivalence is asserted by `tests/parallel_equivalence.rs` and the
-/// CI `parallel-equivalence` job.
+/// CI `schedule-invariance` job.
 pub fn run_study_with_jobs(seed: u64, config: &ScenarioConfig, jobs: usize) -> StudyResults {
     run_study_with_exec(seed, config, jobs, 1)
 }
 
-/// Runs the whole study on `jobs` worker threads, each worker stepping up
-/// to `batch` runs in lockstep ([`rdsim_core::SessionBatch`]).
+/// Runs the whole study on `jobs` worker threads, each executor task
+/// carrying up to `batch` runs, run one after another.
 ///
-/// Batching changes only how runs share a worker, never what any run
+/// Chunking changes only how runs share a worker, never what any run
 /// computes: runs are fully independent, so results are bit-identical for
-/// every `(jobs, batch)` combination. The batch size clamps to the jobs
-/// remaining (a 36-run campaign at `batch 8` ends with a 4-run batch).
+/// every `(jobs, batch)` combination. The chunk size clamps to the jobs
+/// remaining (a 36-run campaign at `batch 8` ends with a 4-run chunk).
 pub fn run_study_with_exec(
     seed: u64,
     config: &ScenarioConfig,

@@ -1,5 +1,6 @@
-//! `repro --help` and `repro -h` through the built binary: both print a
-//! usage block naming every flag the argument parser matches, and exit 0.
+//! `repro` through the built binary: `--help` and `-h` print a usage
+//! block naming every flag the argument parser matches and exit 0, and a
+//! `--campaign` run reports its resolved schedule knobs.
 
 use std::process::Command;
 
@@ -26,4 +27,21 @@ fn help_lists_every_parser_flag_and_exits_zero() {
             assert!(help.contains(flag), "repro {arg} does not list {flag}");
         }
     }
+}
+
+#[test]
+fn campaign_banner_reports_the_default_batch_of_one() {
+    // `--interrupt-after 0` prints the banner and the (empty) campaign
+    // without executing a single run.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["all", "--quick", "--campaign", "4", "--population", "2"])
+        .args(["--jobs", "2", "--interrupt-after", "0"])
+        .output()
+        .expect("repro runs");
+    assert!(out.status.success(), "repro --campaign: {:?}", out.status);
+    let banner = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(
+        banner.contains("running the population campaign") && banner.contains("batch 1)"),
+        "{banner}"
+    );
 }

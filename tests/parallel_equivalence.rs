@@ -12,7 +12,7 @@
 //! in debug builds; the full-campaign variant (every roster subject,
 //! `repro --quick --jobs 1` vs `--jobs 4`, byte-identical stdout including
 //! the campaign digest) runs in release mode in CI's
-//! `parallel-equivalence` job and behind `--ignored` here.
+//! `schedule-invariance` job and behind `--ignored` here.
 
 use rdsim::core::RunKind;
 use rdsim::experiments::campaign_digest;
@@ -85,7 +85,7 @@ fn repeated_parallel_execution_is_stable_in_process() {
 /// cargo test --release --test parallel_equivalence -- --ignored
 /// ```
 #[test]
-#[ignore = "full roster; covered in release mode by CI's parallel-equivalence job"]
+#[ignore = "full roster; covered in release mode by CI's schedule-invariance job"]
 fn full_quick_campaign_is_jobs_invariant() {
     let config = ScenarioConfig::quick();
     let serial = run_study_with_jobs(7, &config, 1);

@@ -9,7 +9,7 @@
 //! must equal `interrupt(4)`). The full-roster property — a complete
 //! `--quick` campaign versus one interrupted at ~50% and resumed, with
 //! byte-diffed `campaign store digest:` lines and `campaign.json` —
-//! runs in release mode in CI's `resume-equivalence` job and behind
+//! runs in release mode in CI's `schedule-invariance` job and behind
 //! `--ignored` here.
 
 use rdsim::experiments::{
@@ -58,7 +58,8 @@ fn interrupted_then_resumed_equals_single_shot() {
     );
 
     // The same 4 jobs as interrupt(2) + resume-for-2, on different
-    // schedules (serial/unbatched, then 2 workers with lockstep pairs).
+    // schedules (serial, one run per task, then 2 workers with two runs
+    // per task).
     let ck = dir.join("campaign.jsonl");
     let mut part1 = opts(11, 1, 1);
     part1.interrupt_after = Some(2);
@@ -240,7 +241,7 @@ fn adaptive_campaign_interrupted_mid_round_resumes_identically() {
 }
 
 /// Full-roster resume equivalence at `--quick` scale. Slow in debug
-/// builds, so ignored by default — CI's `resume-equivalence` job holds
+/// builds, so ignored by default — CI's `schedule-invariance` job holds
 /// the same property in release mode through the `repro` binary; run
 /// locally with:
 ///
@@ -248,7 +249,7 @@ fn adaptive_campaign_interrupted_mid_round_resumes_identically() {
 /// cargo test --release --test resume_equivalence -- --ignored
 /// ```
 #[test]
-#[ignore = "full roster; covered in release mode by CI's resume-equivalence job"]
+#[ignore = "full roster; covered in release mode by CI's schedule-invariance job"]
 fn full_quick_campaign_survives_a_midpoint_interrupt() {
     let dir = scratch_dir("full");
     let config = ScenarioConfig::quick();

@@ -1,14 +1,14 @@
 //! Trace replay must be schedule-invisible, exactly like every other
 //! fault source: for a fixed seed, a run driven by a measured-network
-//! trace digests identically whether it executes serially, through a
-//! lockstep batch, or across worker threads — and the digest pins
+//! trace digests identically whether it executes alone, in a chunk of
+//! runs, or across worker threads — and the digest pins
 //! both the trace's content (through the injection-event log) and its
 //! identity (through the `trace:<label>` condition).
 //!
 //! The release-mode, whole-binary variant (`repro --quick --trace-in
 //! examples/traces/5g_urban.jsonl`, byte-identical stdout across
-//! `--jobs 1/4` and `--batch 1/8`) runs in CI's
-//! `trace-replay-determinism` job.
+//! `--jobs 1/4` and `--batch 1/8`) runs in CI's `schedule-invariance`
+//! job.
 
 use rdsim::core::{Digestible, RunKind};
 use rdsim::experiments::{
@@ -60,8 +60,8 @@ fn trace_runs_are_identical_serial_batched_and_parallel() {
     let parallel = digests_with_jobs(4);
     assert_eq!(serial, parallel, "worker count leaked into a trace run");
 
-    // The same four runs as one lockstep batch of width 4 (dense trace
-    // edges throughout).
+    // The same four runs as one chunk of four (dense trace edges
+    // throughout).
     let config = trace_config("5g_urban");
     let jobs: Vec<ProtocolJob> = matrix()
         .into_iter()
@@ -76,7 +76,7 @@ fn trace_runs_are_identical_serial_batched_and_parallel() {
         })
         .collect();
     let batched: Vec<u64> = run_protocol_batch(jobs).iter().map(run_digest).collect();
-    assert_eq!(serial, batched, "lockstep batching leaked into a trace run");
+    assert_eq!(serial, batched, "chunking leaked into a trace run");
 }
 
 #[test]
