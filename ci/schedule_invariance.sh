@@ -14,7 +14,9 @@
 #      interrupt/resume (stdout, campaign.json, sampler.json);
 #   4. forensics timelines and dossiers across schedules, plus a
 #      structural check of their content;
-#   5. trace-driven roster study stdout across --jobs and --batch.
+#   5. trace-driven roster study stdout across --jobs and --batch;
+#   6. roster study telemetry counters and digest across --jobs, and
+#      against the tests/golden/telemetry_quick.txt golden.
 # Nothing is re-blessed here: every comparison is between two runs, or
 # between a run and a committed golden file.
 set -euo pipefail
@@ -164,5 +166,20 @@ grep "campaign digest" trace-jobs1.txt
 # The trace must actually have driven the runs: a campaign that silently
 # dropped the schedule would pass the diffs trivially.
 grep "trace:5g_urban" trace-jobs1.txt
+
+section "6. telemetry: counters and digest must match across schedules and the golden"
+"$REPRO" collisions --quick --telemetry --jobs 1 2>/dev/null > telemetry-jobs1.txt
+"$REPRO" collisions --quick --telemetry --jobs 4 2>/dev/null > telemetry-jobs4.txt
+# Keep the `name = value` counter lines and the campaign digest line (which
+# folds in the telemetry fingerprint); histogram rows carry wall-clock
+# `*_ns` timings and are not compared.
+for f in telemetry-jobs1 telemetry-jobs4; do
+    grep -E '^campaign digest|^  [[:alnum:]_.]+ += [0-9]+$' "$f.txt" \
+        | sed 's/, jobs [0-9]*, batch [0-9]*)/)/' > "$f.norm"
+done
+test "$(grep -c ' = ' telemetry-jobs1.norm)" -gt 0
+diff -u telemetry-jobs1.norm telemetry-jobs4.norm
+diff -u "$ROOT/tests/golden/telemetry_quick.txt" telemetry-jobs1.norm
+grep "campaign digest" telemetry-jobs1.norm
 
 section "schedule invariance holds"
