@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rdsim_bench::fixture_pair;
 use rdsim_math::{ButterworthLowPass, RngStream, Sample};
 use rdsim_metrics::{steering_reversal_rate, ttc_series, SrrConfig, TtcConfig};
-use rdsim_netem::{NetemConfig, NetemQdisc, Packet, PacketKind, Qdisc};
+use rdsim_netem::{NetemConfig, NetemQdisc, Packet, PacketKind};
 use rdsim_roadnet::town05;
 use rdsim_simulator::{decode_frame, encode_frame, ActorKind, Behavior, LaneFollowConfig, World};
 use rdsim_units::{Hertz, MetersPerSecond, Millis, Ratio, Seconds, SimDuration, SimTime};

@@ -15,7 +15,8 @@ use crate::{
     OperatorSubsystem, OtherSample, RunLog,
 };
 use rdsim_netem::{
-    DuplexLink, FaultInjector, InjectionAction, InjectionWindow, NetemConfig, TraceSchedule,
+    DuplexLink, FaultInjector, InjectionAction, InjectionWindow, LinkStats, NetemConfig,
+    TraceSchedule,
 };
 use rdsim_obs::{Counter, Histogram, Recorder, Timeline, TraceId, TraceStage, Tracer};
 use rdsim_simulator::{ActorKind, CameraConfig, SimulatorServer, World};
@@ -210,24 +211,18 @@ pub(crate) struct SessionCore {
     pub(crate) cmd_window: std::collections::VecDeque<bool>,
     /// Time-resolved per-window aggregates (None unless configured).
     pub(crate) timeline: Option<Timeline>,
-    /// Previous cumulative link tallies + incremental SRR state backing
-    /// the timeline's per-tick deltas.
+    /// Previous link ledgers + incremental SRR state backing the
+    /// timeline's per-tick deltas.
     pub(crate) tl_taps: TimelineTaps,
 }
 
-/// Per-tick bookkeeping for the timeline: the previous cumulative link
-/// tallies (so each tick attributes exactly its delta to the current
+/// Per-tick bookkeeping for the timeline: the previous tick's link
+/// ledgers (so each tick attributes exactly its delta to the current
 /// window) and the incremental steering-reversal hysteresis state.
 #[derive(Debug, Default)]
 pub(crate) struct TimelineTaps {
-    up_dropped: u64,
-    up_queue_dropped: u64,
-    up_duplicated: u64,
-    up_reordered: u64,
-    down_dropped: u64,
-    down_queue_dropped: u64,
-    down_duplicated: u64,
-    down_reordered: u64,
+    up: LinkStats,
+    down: LinkStats,
     /// Direction of the current steering excursion: `Some(true)` rising,
     /// `Some(false)` falling, `None` before the first latch.
     srr_dir: Option<bool>,
@@ -510,14 +505,8 @@ impl SessionCore {
     /// logging stage; a no-op unless the timeline is enabled.
     fn timeline_tick(&mut self, now: SimTime, speed_mps: f64, steer: f64, ttc_s: Option<f64>) {
         // Gather every link-side value first, then borrow the window once.
-        let up_dropped = self.link.uplink.stats().dropped;
-        let up_queue_dropped = self.link.uplink.queue_dropped();
-        let up_duplicated = self.link.uplink.duplicated();
-        let up_reordered = self.link.uplink.reordered();
-        let down_dropped = self.link.downlink.stats().dropped;
-        let down_queue_dropped = self.link.downlink.queue_dropped();
-        let down_duplicated = self.link.downlink.duplicated();
-        let down_reordered = self.link.downlink.reordered();
+        let up = self.link.uplink.stats();
+        let down = self.link.downlink.stats();
         let up_in_flight = self.link.uplink.in_flight() as u64;
         let down_in_flight = self.link.downlink.in_flight() as u64;
         let fault_bits = if self.injector.fault_active() {
@@ -529,34 +518,20 @@ impl SessionCore {
         };
         let taps = &mut self.tl_taps;
         let reversals = taps.srr_step(steer);
-        let d_up_dropped = up_dropped - taps.up_dropped;
-        let d_up_queue_dropped = up_queue_dropped - taps.up_queue_dropped;
-        let d_up_duplicated = up_duplicated - taps.up_duplicated;
-        let d_up_reordered = up_reordered - taps.up_reordered;
-        let d_down_dropped = down_dropped - taps.down_dropped;
-        let d_down_queue_dropped = down_queue_dropped - taps.down_queue_dropped;
-        let d_down_duplicated = down_duplicated - taps.down_duplicated;
-        let d_down_reordered = down_reordered - taps.down_reordered;
-        taps.up_dropped = up_dropped;
-        taps.up_queue_dropped = up_queue_dropped;
-        taps.up_duplicated = up_duplicated;
-        taps.up_reordered = up_reordered;
-        taps.down_dropped = down_dropped;
-        taps.down_queue_dropped = down_queue_dropped;
-        taps.down_duplicated = down_duplicated;
-        taps.down_reordered = down_reordered;
+        let prev_up = std::mem::replace(&mut taps.up, up);
+        let prev_down = std::mem::replace(&mut taps.down, down);
         let Some(tl) = self.timeline.as_mut() else {
             return;
         };
         let w = tl.window_mut(now.as_micros());
-        w.up_dropped += d_up_dropped;
-        w.up_queue_dropped += d_up_queue_dropped;
-        w.up_duplicated += d_up_duplicated;
-        w.up_reordered += d_up_reordered;
-        w.down_dropped += d_down_dropped;
-        w.down_queue_dropped += d_down_queue_dropped;
-        w.down_duplicated += d_down_duplicated;
-        w.down_reordered += d_down_reordered;
+        w.up_dropped += up.dropped - prev_up.dropped;
+        w.up_queue_dropped += up.queue_dropped - prev_up.queue_dropped;
+        w.up_duplicated += up.duplicated - prev_up.duplicated;
+        w.up_reordered += up.reordered - prev_up.reordered;
+        w.down_dropped += down.dropped - prev_down.dropped;
+        w.down_queue_dropped += down.queue_dropped - prev_down.queue_dropped;
+        w.down_duplicated += down.duplicated - prev_down.duplicated;
+        w.down_reordered += down.reordered - prev_down.reordered;
         w.up_queue_max = w.up_queue_max.max(up_in_flight);
         w.down_queue_max = w.down_queue_max.max(down_in_flight);
         w.speed_sum_mmps += (speed_mps.max(0.0) * 1_000.0).round() as u64;
@@ -888,6 +863,10 @@ impl RdsSession {
         self.core
             .log
             .set_duration(self.time().saturating_since(SimTime::ZERO));
+        // The link ledgers become the run's `netem.*` counters.
+        if self.core.recorder.enabled() {
+            self.core.link.publish(&self.core.recorder);
+        }
         // Surface flight-recorder accounting in the run's telemetry so
         // campaign reports can aggregate it next to `events_dropped`.
         if self.core.recorder.enabled() && self.core.tracer.enabled() {

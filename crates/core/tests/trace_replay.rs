@@ -93,7 +93,7 @@ fn overload_surfaces_queue_drops_distinct_from_loss() {
     s.run(&mut op, SimDuration::from_secs(12));
 
     let tl = s.take_timeline();
-    drop(s);
+    s.into_log();
     let t = registry.snapshot();
 
     let queue_dropped = t.counter("netem.uplink.queue_dropped");

@@ -12,9 +12,11 @@
 //!
 //! * [`NetemConfig`] — the fault configuration, with a parser for the
 //!   familiar `tc` rule grammar (`"delay 50ms"`, `"loss 5%"`, …);
-//! * [`NetemQdisc`] — the queuing discipline implementing the semantics;
-//! * [`Link`] / [`DuplexLink`] — unidirectional / bidirectional links with
-//!   delivery statistics;
+//! * [`NetemQdisc`] — the queuing discipline implementing the semantics,
+//!   counting each of its decisions once in a [`LinkStats`] ledger;
+//! * [`Link`] / [`DuplexLink`] — unidirectional / bidirectional links that
+//!   read that ledger and publish it as `netem.{uplink,downlink}.*`
+//!   telemetry counters when a run ends;
 //! * [`FaultInjector`] — adds and deletes rules at scheduled times and logs
 //!   every injection exactly as the paper's data-logging schema requires
 //!   (timestamp, fault type, value, added/deleted);
@@ -56,9 +58,9 @@ pub use config::{
     MAX_DELAY_MS, MIN_AUTO_LIMIT,
 };
 pub use injector::{Direction, FaultInjector, InjectionAction, InjectionEvent, InjectionWindow};
-pub use link::{DuplexLink, Link, LinkStats};
+pub use link::{DuplexLink, Link};
 pub use packet::{Packet, PacketKind};
 pub use parser::ParseRuleError;
 pub use pool::{BufPool, PooledBuf};
-pub use qdisc::{FifoQdisc, NetemQdisc, Qdisc};
+pub use qdisc::{LinkStats, NetemQdisc};
 pub use trace::{TraceParseError, TraceSample, TraceSchedule};

@@ -1,56 +1,9 @@
 //! Emulated links: unidirectional and duplex.
 
-use crate::{NetemConfig, NetemQdisc, Packet, Qdisc};
+use crate::{LinkStats, NetemConfig, NetemQdisc, Packet};
 use rdsim_obs::{Histogram, Recorder, Tracer};
-use rdsim_units::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use rdsim_units::SimTime;
 use std::sync::Arc;
-
-/// Delivery statistics of one link direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct LinkStats {
-    /// Packets offered to the link.
-    pub sent: u64,
-    /// Packets delivered to the receiver.
-    pub delivered: u64,
-    /// Packets dropped by loss faults.
-    pub dropped: u64,
-    /// Packets tail-dropped by a full finite queue (congestion) —
-    /// disjoint from the loss-model `dropped` ledger. `serde(default)`
-    /// keeps stats recorded before the field existed deserializable.
-    #[serde(default)]
-    pub queue_dropped: u64,
-    /// Duplicate copies delivered.
-    pub duplicates: u64,
-    /// Corrupted packets delivered.
-    pub corrupted: u64,
-    /// Total payload bytes delivered.
-    pub bytes_delivered: u64,
-    /// Sum of delivery latencies (for the mean).
-    pub total_latency: SimDuration,
-    /// Worst delivery latency observed.
-    pub max_latency: SimDuration,
-}
-
-impl LinkStats {
-    /// Mean delivery latency, or zero when nothing was delivered.
-    pub fn mean_latency(&self) -> SimDuration {
-        if self.delivered == 0 {
-            SimDuration::ZERO
-        } else {
-            self.total_latency / self.delivered
-        }
-    }
-
-    /// Fraction of offered packets that were dropped.
-    pub fn loss_rate(&self) -> f64 {
-        if self.sent == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / self.sent as f64
-        }
-    }
-}
 
 /// One direction of an emulated network path: an egress NETEM qdisc, as in
 /// the paper's loopback setup where outgoing traffic of each endpoint
@@ -58,7 +11,6 @@ impl LinkStats {
 #[derive(Debug)]
 pub struct Link {
     qdisc: NetemQdisc,
-    stats: LinkStats,
     /// Per-delivery latency histogram (µs), present only while a live
     /// recorder is attached.
     latency_hist: Option<Arc<Histogram>>,
@@ -69,7 +21,6 @@ impl Link {
     pub fn new(seed: u64) -> Self {
         Link {
             qdisc: NetemQdisc::new(seed),
-            stats: LinkStats::default(),
             latency_hist: None,
         }
     }
@@ -78,17 +29,15 @@ impl Link {
     pub fn with_config(config: NetemConfig, seed: u64) -> Self {
         Link {
             qdisc: NetemQdisc::with_config(config, seed),
-            stats: LinkStats::default(),
             latency_hist: None,
         }
     }
 
-    /// Registers this link's instruments under `prefix` (e.g.
-    /// `netem.uplink`): a `<prefix>.latency_us` delivery-latency histogram
-    /// plus the qdisc decision counters. Attaching a null recorder
-    /// detaches.
+    /// Registers this link's `<prefix>.latency_us` delivery-latency
+    /// histogram (e.g. `netem.uplink.latency_us`). The decision counters
+    /// are written once, from the ledger, by [`DuplexLink::publish`].
+    /// Attaching a null recorder detaches.
     pub fn attach_recorder(&mut self, recorder: &Recorder, prefix: &str) {
-        self.qdisc.attach_recorder(recorder, prefix);
         self.latency_hist = recorder
             .enabled()
             .then(|| recorder.histogram(&format!("{prefix}.latency_us")));
@@ -120,12 +69,7 @@ impl Link {
     /// Sends a packet into the link at time `now`, stamping `sent_at`.
     pub fn send(&mut self, mut packet: Packet, now: SimTime) {
         packet.sent_at = now;
-        self.stats.sent += 1;
-        let before_drops = self.qdisc.dropped();
-        let before_queue_drops = self.qdisc.queue_dropped();
         self.qdisc.enqueue(packet, now);
-        self.stats.dropped += self.qdisc.dropped() - before_drops;
-        self.stats.queue_dropped += self.qdisc.queue_dropped() - before_queue_drops;
     }
 
     /// Receives every packet whose delivery time has arrived.
@@ -139,46 +83,23 @@ impl Link {
     }
 
     /// Appends every packet whose delivery time has arrived to `out`,
-    /// updating delivery statistics. Allocation-free when `out` has
-    /// spare capacity.
+    /// recording each delivery latency when a recorder is attached.
+    /// Allocation-free when `out` has spare capacity.
     pub fn receive_into(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         let start = out.len();
         self.qdisc.dequeue_into(now, out);
-        for p in &out[start..] {
-            self.stats.delivered += 1;
-            self.stats.bytes_delivered += p.len() as u64;
-            if p.duplicate {
-                self.stats.duplicates += 1;
-            }
-            if p.corrupted {
-                self.stats.corrupted += 1;
-            }
-            let lat = p.latency_at(now);
-            self.stats.total_latency += lat;
-            if lat > self.stats.max_latency {
-                self.stats.max_latency = lat;
-            }
-            if let Some(hist) = &self.latency_hist {
-                hist.record(lat.as_micros());
+        if let Some(hist) = &self.latency_hist {
+            for p in &out[start..] {
+                hist.record(p.latency_at(now).as_micros());
             }
         }
     }
 
-    /// Runs one pipeline-stage worth of traffic: offers `packets` to the
-    /// link in order, then drains everything whose delivery time has
-    /// arrived. Exactly equivalent to [`send`](Self::send)ing each packet
-    /// followed by one [`receive`](Self::receive) — the link direction as
-    /// a single stage of the session pipeline.
-    pub fn transfer(&mut self, packets: Vec<Packet>, now: SimTime) -> Vec<Packet> {
-        for packet in packets {
-            self.send(packet, now);
-        }
-        self.receive(now)
-    }
-
-    /// [`transfer`](Self::transfer) with caller-owned buffers: drains
-    /// `packets` into the link and appends the arrivals to `out`,
-    /// leaving both vectors' capacity in place for the next step.
+    /// Runs one pipeline-stage worth of traffic: drains `packets` into the
+    /// link in order, then appends everything whose delivery time has
+    /// arrived to `out`. Exactly equivalent to [`send`](Self::send)ing
+    /// each packet followed by one [`receive_into`](Self::receive_into),
+    /// and leaves both vectors' capacity in place for the next step.
     pub fn transfer_into(
         &mut self,
         packets: &mut Vec<Packet>,
@@ -191,43 +112,21 @@ impl Link {
         self.receive_into(now, out);
     }
 
-    /// Time of the next pending delivery, if any.
-    pub fn next_delivery(&self) -> Option<SimTime> {
-        self.qdisc.next_release()
-    }
-
     /// Packets currently in flight.
     pub fn in_flight(&self) -> usize {
         self.qdisc.len()
     }
 
-    /// Delivery statistics.
-    pub fn stats(&self) -> &LinkStats {
-        &self.stats
-    }
-
-    /// Duplicate copies created by the qdisc so far (counted at enqueue;
-    /// [`LinkStats::duplicates`] counts copies *delivered*).
-    pub fn duplicated(&self) -> u64 {
-        self.qdisc.duplicated()
-    }
-
-    /// Packets tail-dropped by the finite queue (congestion) so far.
-    pub fn queue_dropped(&self) -> u64 {
-        self.qdisc.queue_dropped()
-    }
-
-    /// Packets that jumped the delay queue (reorder faults) so far.
-    pub fn reordered(&self) -> u64 {
-        self.qdisc.reordered()
-    }
-
-    /// Drops all in-flight packets and resets statistics.
-    pub fn reset(&mut self) {
-        self.qdisc.clear();
-        self.stats = LinkStats::default();
+    /// The qdisc's decision ledger for this direction.
+    pub fn stats(&self) -> LinkStats {
+        self.qdisc.stats()
     }
 }
+
+/// Telemetry prefix of the vehicle → operator direction.
+const UPLINK: &str = "netem.uplink";
+/// Telemetry prefix of the operator → vehicle direction.
+const DOWNLINK: &str = "netem.downlink";
 
 /// A bidirectional path built from two independent [`Link`]s.
 ///
@@ -261,11 +160,19 @@ impl DuplexLink {
         self.downlink.set_config(config);
     }
 
-    /// Registers both directions with a recorder, under `netem.uplink`
-    /// and `netem.downlink`.
+    /// Registers both directions' latency histograms with a recorder,
+    /// under `netem.uplink` and `netem.downlink`.
     pub fn attach_recorder(&mut self, recorder: &Recorder) {
-        self.uplink.attach_recorder(recorder, "netem.uplink");
-        self.downlink.attach_recorder(recorder, "netem.downlink");
+        self.uplink.attach_recorder(recorder, UPLINK);
+        self.downlink.attach_recorder(recorder, DOWNLINK);
+    }
+
+    /// Adds both directions' ledgers to the `netem.uplink.*` and
+    /// `netem.downlink.*` counters of `recorder`. Called once, when the
+    /// run ends.
+    pub fn publish(&self, recorder: &Recorder) {
+        self.uplink.stats().publish(recorder, UPLINK);
+        self.downlink.stats().publish(recorder, DOWNLINK);
     }
 
     /// Attaches a causal tracer to both directions.
@@ -273,19 +180,13 @@ impl DuplexLink {
         self.uplink.attach_tracer(tracer);
         self.downlink.attach_tracer(tracer);
     }
-
-    /// Resets both directions.
-    pub fn reset(&mut self) {
-        self.uplink.reset();
-        self.downlink.reset();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::PacketKind;
-    use rdsim_units::{Millis, Ratio};
+    use rdsim_units::{Millis, Ratio, SimDuration};
 
     fn video(seq: u64) -> Packet {
         Packet::new(seq, PacketKind::Video, vec![0u8; 1000])
@@ -298,21 +199,22 @@ mod tests {
         let out = link.receive(SimTime::from_millis(5));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].sent_at, SimTime::from_millis(5));
-        assert_eq!(link.stats().sent, 1);
-        assert_eq!(link.stats().delivered, 1);
-        assert_eq!(link.stats().bytes_delivered, 1000);
+        assert_eq!(link.stats().enqueued, 1);
+        assert_eq!(link.stats().dequeued, 1);
     }
 
     #[test]
-    fn stats_track_latency() {
+    fn delay_sets_delivery_latency() {
         let mut link = Link::with_config(NetemConfig::default().with_delay(Millis::new(50.0)), 1);
         link.send(video(1), SimTime::ZERO);
         link.send(video(2), SimTime::ZERO);
         assert_eq!(link.in_flight(), 2);
-        let out = link.receive(SimTime::from_millis(50));
+        let now = SimTime::from_millis(50);
+        let out = link.receive(now);
         assert_eq!(out.len(), 2);
-        assert_eq!(link.stats().mean_latency(), SimDuration::from_millis(50));
-        assert_eq!(link.stats().max_latency, SimDuration::from_millis(50));
+        assert!(out
+            .iter()
+            .all(|p| p.latency_at(now) == SimDuration::from_millis(50)));
     }
 
     #[test]
@@ -322,25 +224,9 @@ mod tests {
             link.send(video(seq), SimTime::ZERO);
         }
         assert!(link.receive(SimTime::from_secs(1)).is_empty());
+        assert_eq!(link.stats().enqueued, 10);
         assert_eq!(link.stats().dropped, 10);
-        assert_eq!(link.stats().loss_rate(), 1.0);
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let s = LinkStats::default();
-        assert_eq!(s.mean_latency(), SimDuration::ZERO);
-        assert_eq!(s.loss_rate(), 0.0);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut link = Link::with_config(NetemConfig::default().with_delay(Millis::new(50.0)), 1);
-        link.send(video(1), SimTime::ZERO);
-        link.reset();
-        assert_eq!(link.in_flight(), 0);
-        assert_eq!(link.stats().sent, 0);
-        assert!(link.receive(SimTime::from_secs(1)).is_empty());
+        assert_eq!(link.stats().dequeued, 0);
     }
 
     #[test]
@@ -357,8 +243,6 @@ mod tests {
         assert!(duplex.downlink.receive(SimTime::from_millis(20)).is_empty());
         assert_eq!(duplex.uplink.receive(SimTime::from_millis(25)).len(), 1);
         assert_eq!(duplex.downlink.receive(SimTime::from_millis(25)).len(), 1);
-        duplex.reset();
-        assert_eq!(duplex.uplink.stats().sent, 0);
     }
 
     #[test]
@@ -384,16 +268,23 @@ mod tests {
     #[test]
     fn recorder_captures_delivery_latency() {
         let registry = rdsim_obs::Registry::new();
+        let recorder = registry.recorder();
         let mut duplex = DuplexLink::new(4);
-        duplex.attach_recorder(&registry.recorder());
+        duplex.attach_recorder(&recorder);
         duplex.set_both(NetemConfig::default().with_delay(Millis::new(50.0)));
         duplex.uplink.send(video(1), SimTime::ZERO);
         duplex.uplink.receive(SimTime::from_millis(50));
+        assert!(
+            registry.snapshot().counters.is_empty(),
+            "counters wait for publish"
+        );
+        duplex.publish(&recorder);
         let t = registry.snapshot();
         let h = t.histogram("netem.uplink.latency_us").expect("registered");
         assert_eq!(h.count, 1);
         assert_eq!(h.min, 50_000, "50 ms in µs");
         assert_eq!(t.counter("netem.uplink.enqueued"), 1);
+        assert_eq!(t.counter("netem.uplink.dequeued"), 1);
         assert!(
             t.histogram("netem.downlink.latency_us").unwrap().is_empty(),
             "nothing sent downlink"
@@ -413,7 +304,7 @@ mod tests {
         let mut got_b = Vec::new();
         for step in 0..200u64 {
             let now = SimTime::from_millis(step * 20);
-            got_a.extend(a.transfer(vec![video(step)], now));
+            a.transfer_into(&mut vec![video(step)], now, &mut got_a);
             b.send(video(step), now);
             got_b.extend(b.receive(now));
         }
@@ -456,9 +347,9 @@ mod tests {
             .with_delay(Millis::new(40.0))
             .with_reorder(Ratio::ONE, 1);
         let mut link = Link::with_config(cfg, 11);
-        assert_eq!(link.reordered(), 0);
+        assert_eq!(link.stats().reordered, 0);
         link.send(video(1), SimTime::ZERO);
-        assert_eq!(link.reordered(), 1, "gap-1 p=1 reorders every packet");
+        assert_eq!(link.stats().reordered, 1, "gap-1 p=1 reorders every packet");
         let out = link.receive(SimTime::ZERO);
         assert_eq!(out.len(), 1, "reordered packet jumped the delay");
         assert_eq!(
@@ -469,14 +360,6 @@ mod tests {
 
         let mut dup = Link::with_config(NetemConfig::default().with_duplicate(Ratio::ONE), 12);
         dup.send(video(1), SimTime::ZERO);
-        assert_eq!(dup.duplicated(), 1);
-    }
-
-    #[test]
-    fn next_delivery_reports_pending() {
-        let mut link = Link::with_config(NetemConfig::default().with_delay(Millis::new(10.0)), 2);
-        assert_eq!(link.next_delivery(), None);
-        link.send(video(1), SimTime::from_millis(100));
-        assert_eq!(link.next_delivery(), Some(SimTime::from_millis(110)));
+        assert_eq!(dup.stats().duplicated, 1);
     }
 }

@@ -1,75 +1,48 @@
-//! Queuing disciplines: FIFO and the NETEM fault-injecting qdisc.
+//! The NETEM queuing discipline and its per-direction decision ledger.
 
 use crate::{LossConfig, NetemConfig, Packet};
 use rdsim_math::RngStream;
-use rdsim_obs::{Counter, Recorder, TraceStage, Tracer};
+use rdsim_obs::{Recorder, TraceStage, Tracer};
 use rdsim_units::{SimDuration, SimTime};
 use std::collections::BinaryHeap;
 
-/// A queuing discipline: packets go in at `enqueue` time and come out of
-/// `dequeue` once their release time has passed.
-///
-/// This trait is object-safe so links can swap disciplines at runtime.
-pub trait Qdisc: std::fmt::Debug + Send {
-    /// Offers a packet to the discipline at simulation time `now`.
-    ///
-    /// Returns the number of queue entries created (0 if the packet was
-    /// dropped by a loss fault, 2 if a duplication fault copied it).
-    fn enqueue(&mut self, packet: Packet, now: SimTime) -> usize;
-
-    /// Removes and returns every packet whose release time is `<= now`,
-    /// in release order.
-    ///
-    /// Convenience wrapper over [`Qdisc::dequeue_into`]; the per-step
-    /// datapath calls the `_into` variant with a reused buffer instead.
-    fn dequeue(&mut self, now: SimTime) -> Vec<Packet> {
-        let mut out = Vec::new();
-        self.dequeue_into(now, &mut out);
-        out
-    }
-
-    /// Appends every packet whose release time is `<= now` to `out`, in
-    /// release order. Allocation-free when `out` has spare capacity.
-    fn dequeue_into(&mut self, now: SimTime, out: &mut Vec<Packet>);
-
-    /// Number of packets currently queued.
-    fn len(&self) -> usize;
-
-    /// `true` if no packets are queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Release time of the earliest queued packet, if any.
-    fn next_release(&self) -> Option<SimTime>;
-
-    /// Drops all queued packets (used when tearing a link down).
-    fn clear(&mut self);
+/// The decision ledger of one link direction: every qdisc outcome, counted
+/// once where [`NetemQdisc`] decides it. Telemetry, the session timeline and
+/// the fault-window accounting all read this one ledger.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LinkStats {
+    /// Packets offered to the qdisc.
+    pub enqueued: u64,
+    /// Packets (duplicate copies included) released to the receiver.
+    pub dequeued: u64,
+    /// Packets discarded by the loss model.
+    pub dropped: u64,
+    /// Packets, or duplicate copies, tail-dropped by a full finite queue
+    /// (congestion), disjoint from the loss-model `dropped`.
+    pub queue_dropped: u64,
+    /// Duplicate copies queued.
+    pub duplicated: u64,
+    /// Packets with a bit flipped by the corruption model.
+    pub corrupted: u64,
+    /// Packets that jumped the delay queue (reorder faults).
+    pub reordered: u64,
 }
 
-/// Telemetry handles for one qdisc, present only while a live recorder is
-/// attached — the disabled path carries no handles and touches no atomics.
-#[derive(Debug)]
-struct QdiscObs {
-    enqueued: Counter,
-    dequeued: Counter,
-    dropped: Counter,
-    queue_dropped: Counter,
-    duplicated: Counter,
-    corrupted: Counter,
-    reordered: Counter,
-}
-
-impl QdiscObs {
-    fn attach(recorder: &Recorder, prefix: &str) -> Self {
-        QdiscObs {
-            enqueued: recorder.counter(&format!("{prefix}.enqueued")),
-            dequeued: recorder.counter(&format!("{prefix}.dequeued")),
-            dropped: recorder.counter(&format!("{prefix}.dropped")),
-            queue_dropped: recorder.counter(&format!("{prefix}.queue_dropped")),
-            duplicated: recorder.counter(&format!("{prefix}.duplicated")),
-            corrupted: recorder.counter(&format!("{prefix}.corrupted")),
-            reordered: recorder.counter(&format!("{prefix}.reordered")),
+impl LinkStats {
+    /// Adds every field to the `<prefix>.<field>` counter of `recorder`,
+    /// zeros included, so a run registers the same counter set whatever
+    /// its faults.
+    pub(crate) fn publish(&self, recorder: &Recorder, prefix: &str) {
+        for (name, value) in [
+            ("enqueued", self.enqueued),
+            ("dequeued", self.dequeued),
+            ("dropped", self.dropped),
+            ("queue_dropped", self.queue_dropped),
+            ("duplicated", self.duplicated),
+            ("corrupted", self.corrupted),
+            ("reordered", self.reordered),
+        ] {
+            recorder.counter(&format!("{prefix}.{name}")).add(value);
         }
     }
 }
@@ -96,43 +69,6 @@ impl Ord for QueueEntry {
 impl PartialOrd for QueueEntry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// A plain FIFO discipline with zero delay: models the fault-free loopback
-/// path of the paper's test rig.
-#[derive(Debug, Default)]
-pub struct FifoQdisc {
-    queue: std::collections::VecDeque<Packet>,
-}
-
-impl FifoQdisc {
-    /// Creates an empty FIFO.
-    pub fn new() -> Self {
-        FifoQdisc::default()
-    }
-}
-
-impl Qdisc for FifoQdisc {
-    fn enqueue(&mut self, packet: Packet, _now: SimTime) -> usize {
-        self.queue.push_back(packet);
-        1
-    }
-
-    fn dequeue_into(&mut self, _now: SimTime, out: &mut Vec<Packet>) {
-        out.extend(self.queue.drain(..));
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn next_release(&self) -> Option<SimTime> {
-        self.queue.front().map(|p| p.sent_at)
-    }
-
-    fn clear(&mut self) {
-        self.queue.clear();
     }
 }
 
@@ -176,19 +112,8 @@ pub struct NetemQdisc {
     /// ([`NetemConfig::effective_limit`]) so the enqueue hot path never
     /// recomputes the BDP. `None` = unbounded (the historical default).
     effective_limit: Option<u32>,
-    /// Statistics: dropped packets.
-    dropped: u64,
-    /// Statistics: packets tail-dropped by the finite queue (congestion),
-    /// counted separately from loss-model `dropped`.
-    queue_dropped: u64,
-    /// Statistics: duplicated packets.
-    duplicated: u64,
-    /// Statistics: corrupted packets.
-    corrupted: u64,
-    /// Statistics: packets that jumped the delay queue (reordered).
-    reordered: u64,
-    /// Telemetry handles (None unless a live recorder was attached).
-    obs: Option<QdiscObs>,
+    /// Every decision made so far.
+    stats: LinkStats,
     /// Per-packet decision tracer (null unless attached): annotates every
     /// enqueue/drop/corrupt/duplicate/reorder/deliver decision with the
     /// affected packet's [`Packet::trace_id`].
@@ -214,25 +139,9 @@ impl NetemQdisc {
             rate_busy_until: SimTime::ZERO,
             reorder_count: 0,
             effective_limit: config.effective_limit(),
-            dropped: 0,
-            queue_dropped: 0,
-            duplicated: 0,
-            corrupted: 0,
-            reordered: 0,
-            obs: None,
+            stats: LinkStats::default(),
             tracer: Tracer::null(),
         }
-    }
-
-    /// Registers per-decision counters (`<prefix>.dropped`,
-    /// `.duplicated`, `.corrupted`, `.reordered`, `.enqueued`,
-    /// `.dequeued`) with a recorder. Attaching a null recorder detaches
-    /// instead, so the hot path stays instrument-free when telemetry is
-    /// off.
-    pub fn attach_recorder(&mut self, recorder: &Recorder, prefix: &str) {
-        self.obs = recorder
-            .enabled()
-            .then(|| QdiscObs::attach(recorder, prefix));
     }
 
     /// Attaches a causal tracer: every qdisc decision is then recorded
@@ -268,31 +177,9 @@ impl NetemQdisc {
         }
     }
 
-    /// Packets dropped by loss faults so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Packets tail-dropped by the finite queue (congestion) so far.
-    /// Disjoint from [`NetemQdisc::dropped`], which counts loss-model
-    /// decisions only.
-    pub fn queue_dropped(&self) -> u64 {
-        self.queue_dropped
-    }
-
-    /// Duplicate copies created so far.
-    pub fn duplicated(&self) -> u64 {
-        self.duplicated
-    }
-
-    /// Packets corrupted so far.
-    pub fn corrupted(&self) -> u64 {
-        self.corrupted
-    }
-
-    /// Packets that jumped the delay queue (reorder faults) so far.
-    pub fn reordered(&self) -> u64 {
-        self.reordered
+    /// The decision ledger so far.
+    pub fn stats(&self) -> LinkStats {
+        self.stats
     }
 
     fn draw_loss(&mut self) -> bool {
@@ -369,10 +256,7 @@ impl NetemQdisc {
                     packet.payload = bytes.into();
                 }
                 packet.corrupted = true;
-                self.corrupted += 1;
-                if let Some(obs) = &self.obs {
-                    obs.corrupted.inc();
-                }
+                self.stats.corrupted += 1;
                 self.tracer.record(
                     packet.trace_id(),
                     TraceStage::NetemCorrupt,
@@ -391,13 +275,14 @@ impl NetemQdisc {
             packet,
         });
     }
-}
 
-impl Qdisc for NetemQdisc {
-    fn enqueue(&mut self, mut packet: Packet, now: SimTime) -> usize {
-        if let Some(obs) = &self.obs {
-            obs.enqueued.inc();
-        }
+    /// Offers a packet to the discipline at simulation time `now`.
+    ///
+    /// Returns the number of queue entries created (0 if the packet was
+    /// dropped by a loss fault or a full queue, 2 if a duplication fault
+    /// copied it).
+    pub fn enqueue(&mut self, mut packet: Packet, now: SimTime) -> usize {
+        self.stats.enqueued += 1;
         self.tracer.record(
             packet.trace_id(),
             TraceStage::NetemEnqueue,
@@ -405,10 +290,7 @@ impl Qdisc for NetemQdisc {
             packet.trace_arg(),
         );
         if self.draw_loss() {
-            self.dropped += 1;
-            if let Some(obs) = &self.obs {
-                obs.dropped.inc();
-            }
+            self.stats.dropped += 1;
             self.tracer.record(
                 packet.trace_id(),
                 TraceStage::NetemDrop,
@@ -429,28 +311,21 @@ impl Qdisc for NetemQdisc {
         // packet never occupies serialization time.
         if let Some(limit) = self.effective_limit {
             let free = (limit as usize).saturating_sub(self.heap.len());
-            if free == 0 {
-                self.queue_dropped += 1;
-                if let Some(obs) = &self.obs {
-                    obs.queue_dropped.inc();
+            if free == 0 || (duplicate && free < 2) {
+                self.stats.queue_dropped += 1;
+                if free == 0 {
+                    self.tracer.record(
+                        packet.trace_id(),
+                        TraceStage::NetemQueueDrop,
+                        now.as_micros(),
+                        packet.trace_arg(),
+                    );
+                    return 0;
                 }
-                self.tracer.record(
-                    packet.trace_id(),
-                    TraceStage::NetemQueueDrop,
-                    now.as_micros(),
-                    packet.trace_arg(),
-                );
-                return 0;
-            }
-            if duplicate && free < 2 {
                 // Room for the original only: the copy is congestion-
                 // dropped before it is created, like netem's duplicate
                 // respecting `limit`. No trace event — the copy never
                 // existed as an artifact.
-                self.queue_dropped += 1;
-                if let Some(obs) = &self.obs {
-                    obs.queue_dropped.inc();
-                }
                 duplicate = false;
             }
         }
@@ -472,10 +347,7 @@ impl Qdisc for NetemQdisc {
                 self.reorder_count = 0;
                 if self.rng.bernoulli(reorder.probability.get()) {
                     jumped = true;
-                    self.reordered += 1;
-                    if let Some(obs) = &self.obs {
-                        obs.reordered.inc();
-                    }
+                    self.stats.reordered += 1;
                     self.tracer.record(
                         packet.trace_id(),
                         TraceStage::NetemReorder,
@@ -503,10 +375,7 @@ impl Qdisc for NetemQdisc {
         if duplicate {
             let mut copy = packet.clone();
             copy.duplicate = true;
-            self.duplicated += 1;
-            if let Some(obs) = &self.obs {
-                obs.duplicated.inc();
-            }
+            self.stats.duplicated += 1;
             self.tracer.record(
                 copy.trace_id(),
                 TraceStage::NetemDuplicate,
@@ -521,7 +390,18 @@ impl Qdisc for NetemQdisc {
         entries
     }
 
-    fn dequeue_into(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+    /// Removes and returns every packet whose release time is `<= now`,
+    /// in release order. The per-step datapath uses the allocation-free
+    /// [`dequeue_into`](Self::dequeue_into) instead.
+    pub fn dequeue(&mut self, now: SimTime) -> Vec<Packet> {
+        let mut out = Vec::new();
+        self.dequeue_into(now, &mut out);
+        out
+    }
+
+    /// Appends every packet whose release time is `<= now` to `out`, in
+    /// release order. Allocation-free when `out` has spare capacity.
+    pub fn dequeue_into(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         let start = out.len();
         while let Some(top) = self.heap.peek() {
             if top.release > now {
@@ -529,9 +409,7 @@ impl Qdisc for NetemQdisc {
             }
             out.push(self.heap.pop().expect("peeked").packet);
         }
-        if let Some(obs) = &self.obs {
-            obs.dequeued.add((out.len() - start) as u64);
-        }
+        self.stats.dequeued += (out.len() - start) as u64;
         if self.tracer.enabled() {
             for p in &out[start..] {
                 self.tracer.record(
@@ -544,15 +422,23 @@ impl Qdisc for NetemQdisc {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Number of packets currently queued.
+    pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    fn next_release(&self) -> Option<SimTime> {
+    /// `true` if no packets are queued.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Release time of the earliest queued packet, if any.
+    pub fn next_release(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.release)
     }
 
-    fn clear(&mut self) {
+    /// Drops all queued packets (used when tearing a link down).
+    pub fn clear(&mut self) {
         self.heap.clear();
         // Tearing the link down idles the rate limiter too; leaving
         // `rate_busy_until` in the future would leak serialization
@@ -622,7 +508,7 @@ mod tests {
         }
         let loss_rate = 1.0 - delivered as f64 / n as f64;
         assert!((loss_rate - 0.05).abs() < 0.01, "measured loss {loss_rate}");
-        assert_eq!(q.dropped(), n - delivered);
+        assert_eq!(q.stats().dropped, n - delivered);
     }
 
     #[test]
@@ -694,7 +580,7 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out.iter().filter(|p| p.duplicate).count(), 1);
         assert!(out.iter().all(|p| p.seq == 7));
-        assert_eq!(q.duplicated(), 1);
+        assert_eq!(q.stats().duplicated, 1);
     }
 
     #[test]
@@ -715,7 +601,7 @@ mod tests {
             .sum();
         assert_eq!(diff_bits, 1);
         assert_eq!(out[0].payload.len(), original.len());
-        assert_eq!(q.corrupted(), 1);
+        assert_eq!(q.stats().corrupted, 1);
     }
 
     #[test]
@@ -927,27 +813,33 @@ mod tests {
     }
 
     #[test]
-    fn recorder_counts_decisions() {
-        let registry = rdsim_obs::Registry::new();
-        let recorder = registry.recorder();
+    fn ledger_counts_decisions_and_publishes_them() {
         let config = NetemConfig::default()
             .with_loss(Ratio::from_percent(30.0))
             .with_duplicate(Ratio::from_percent(30.0))
             .with_corrupt(Ratio::from_percent(30.0));
         let mut q = NetemQdisc::with_config(config, 21);
-        q.attach_recorder(&recorder, "netem.test");
         let n = 2_000u64;
         for seq in 0..n {
             q.enqueue(pkt(seq), SimTime::ZERO);
         }
         let delivered = drain_all(&mut q).len() as u64;
+        let s = q.stats();
+        assert_eq!(s.enqueued, n);
+        assert_eq!(s.dequeued, delivered);
+        assert_eq!(delivered, n - s.dropped + s.duplicated);
+        assert!(s.dropped > 0 && s.duplicated > 0 && s.corrupted > 0);
+
+        let registry = rdsim_obs::Registry::new();
+        s.publish(&registry.recorder(), "netem.test");
         let t = registry.snapshot();
         assert_eq!(t.counter("netem.test.enqueued"), n);
         assert_eq!(t.counter("netem.test.dequeued"), delivered);
-        assert_eq!(t.counter("netem.test.dropped"), q.dropped());
-        assert_eq!(t.counter("netem.test.duplicated"), q.duplicated());
-        assert_eq!(t.counter("netem.test.corrupted"), q.corrupted());
-        assert!(q.dropped() > 0 && q.duplicated() > 0 && q.corrupted() > 0);
+        assert_eq!(t.counter("netem.test.dropped"), s.dropped);
+        assert_eq!(t.counter("netem.test.duplicated"), s.duplicated);
+        assert_eq!(t.counter("netem.test.corrupted"), s.corrupted);
+        assert_eq!(t.counters.len(), 7, "zeros are published too");
+        assert_eq!(t.counters.get("netem.test.reordered"), Some(&0));
     }
 
     #[test]
@@ -970,11 +862,11 @@ mod tests {
         let count =
             |stage: TraceStage| log.events.iter().filter(|e| e.stage == stage).count() as u64;
         assert_eq!(count(TraceStage::NetemEnqueue), n, "every packet enters");
-        assert_eq!(count(TraceStage::NetemDrop), q.dropped());
-        assert_eq!(count(TraceStage::NetemDuplicate), q.duplicated());
-        assert_eq!(count(TraceStage::NetemCorrupt), q.corrupted());
+        assert_eq!(count(TraceStage::NetemDrop), q.stats().dropped);
+        assert_eq!(count(TraceStage::NetemDuplicate), q.stats().duplicated);
+        assert_eq!(count(TraceStage::NetemCorrupt), q.stats().corrupted);
         assert_eq!(count(TraceStage::NetemDeliver), delivered.len() as u64);
-        assert!(q.dropped() > 0 && q.duplicated() > 0 && q.corrupted() > 0);
+        assert!(q.stats().dropped > 0 && q.stats().duplicated > 0 && q.stats().corrupted > 0);
         // Annotations carry the packet's metadata word: duplicate deliveries
         // have bit 33 set, and every enqueue arg's low 32 bits are the
         // payload length of our fixed test packet.
@@ -995,31 +887,6 @@ mod tests {
             .iter()
             .filter(|e| e.stage == TraceStage::NetemDeliver)
             .all(|e| e.arg >= 10_000));
-    }
-
-    #[test]
-    fn null_recorder_detaches() {
-        let registry = rdsim_obs::Registry::new();
-        let mut q = NetemQdisc::with_config(NetemConfig::default().with_loss(Ratio::ONE), 3);
-        q.attach_recorder(&registry.recorder(), "netem.test");
-        q.attach_recorder(&rdsim_obs::Recorder::null(), "netem.test");
-        q.enqueue(pkt(0), SimTime::ZERO);
-        assert_eq!(registry.snapshot().counter("netem.test.dropped"), 0);
-        assert_eq!(q.dropped(), 1, "internal stats still track");
-    }
-
-    #[test]
-    fn fifo_qdisc_is_transparent() {
-        let mut q = FifoQdisc::new();
-        assert!(q.is_empty());
-        q.enqueue(pkt(1), SimTime::ZERO);
-        q.enqueue(pkt(2), SimTime::ZERO);
-        assert_eq!(q.len(), 2);
-        let out = q.dequeue(SimTime::ZERO);
-        assert_eq!(out.iter().map(|p| p.seq).collect::<Vec<_>>(), vec![1, 2]);
-        q.enqueue(pkt(3), SimTime::ZERO);
-        q.clear();
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -1065,7 +932,7 @@ mod tests {
                 peak = peak.max(q.len());
             }
             let survivors: Vec<u64> = drain_all(&mut q).iter().map(|p| p.seq).collect();
-            (peak, q.queue_dropped(), survivors)
+            (peak, q.stats().queue_dropped, survivors)
         };
         let (peak, dropped, survivors) = run();
         assert!(peak <= 4, "queue length never exceeds the limit");
@@ -1089,8 +956,8 @@ mod tests {
             assert!(q.len() <= limit);
         }
         assert_eq!(q.len(), limit);
-        assert_eq!(q.queue_dropped(), 2 * limit as u64);
-        assert_eq!(q.dropped(), 0, "no loss-model drops involved");
+        assert_eq!(q.stats().queue_dropped, 2 * limit as u64);
+        assert_eq!(q.stats().dropped, 0, "no loss-model drops involved");
     }
 
     #[test]
@@ -1105,8 +972,8 @@ mod tests {
         assert_eq!(q.enqueue(pkt(1), SimTime::ZERO), 1, "copy suppressed");
         assert_eq!(q.enqueue(pkt(2), SimTime::ZERO), 0, "queue full");
         assert_eq!(q.len(), 3);
-        assert_eq!(q.queue_dropped(), 2);
-        assert_eq!(q.duplicated(), 1, "only the stored copy counts");
+        assert_eq!(q.stats().queue_dropped, 2);
+        assert_eq!(q.stats().duplicated, 1, "only the stored copy counts");
     }
 
     /// Wilson score interval for `k` successes in `n` trials at ~99.9%
@@ -1145,12 +1012,12 @@ mod tests {
         for seq in 0..n {
             q.enqueue(pkt(seq), SimTime::from_millis(seq));
         }
-        let (lo, hi) = wilson_ci(q.dropped(), n);
+        let (lo, hi) = wilson_ci(q.stats().dropped, n);
         assert!(
             (lo..=hi).contains(&predicted),
             "closed-form {predicted} outside Wilson CI [{lo}, {hi}] \
              (empirical {})",
-            q.dropped() as f64 / n as f64
+            q.stats().dropped as f64 / n as f64
         );
     }
 }

@@ -1,6 +1,8 @@
 //! NETEM playground: push a synthetic packet stream through different
 //! fault rules and watch the delivery statistics — the network emulator
-//! in isolation, without the driving stack.
+//! in isolation, without the driving stack. `loss` is the loss model's
+//! share of the offered packets; `qdrop` counts the packets a full queue
+//! tail-dropped.
 //!
 //! ```text
 //! cargo run --release --example netem_playground
@@ -19,6 +21,8 @@ fn exercise(rule: &str, n: u64) {
     let mut next_send = SimTime::ZERO;
     let mut seq = 0u64;
     let mut received = Vec::new();
+    let mut total_latency = SimDuration::ZERO;
+    let mut max_latency = SimDuration::ZERO;
     // Poll the link every millisecond so measured latency reflects the
     // emulator, not the sender's frame cadence.
     while seq < n || link.in_flight() > 0 {
@@ -27,7 +31,12 @@ fn exercise(rule: &str, n: u64) {
             seq += 1;
             next_send += frame_gap;
         }
-        received.extend(link.receive(now));
+        for packet in link.receive(now) {
+            let latency = packet.latency_at(now);
+            total_latency += latency;
+            max_latency = max_latency.max(latency);
+            received.push(packet);
+        }
         now += tick;
         if now > SimTime::from_secs(300) {
             break; // safety valve for pathological rules
@@ -35,15 +44,24 @@ fn exercise(rule: &str, n: u64) {
     }
 
     let stats = link.stats();
+    let delivered = received.len() as u64;
+    let mean_latency = if delivered == 0 {
+        SimDuration::ZERO
+    } else {
+        total_latency / delivered
+    };
+    let duplicates = received.iter().filter(|p| p.duplicate).count();
+    let corrupted = received.iter().filter(|p| p.corrupted).count();
     let reordered = received.windows(2).filter(|w| w[1].seq < w[0].seq).count();
-    println!("{rule:<28} delivered {:>4}/{:<4}  loss {:>5.1}%  mean lat {:>7.1} ms  max {:>7.1} ms  dup {:>2}  corrupt {:>2}  reordered {:>3}",
-        stats.delivered,
-        stats.sent,
-        stats.loss_rate() * 100.0,
-        stats.mean_latency().as_millis_f64(),
-        stats.max_latency.as_millis_f64(),
-        stats.duplicates,
-        stats.corrupted,
+    println!("{rule:<28} delivered {:>4}/{:<4}  loss {:>5.1}%  qdrop {:>3}  mean lat {:>7.1} ms  max {:>7.1} ms  dup {:>2}  corrupt {:>2}  reordered {:>3}",
+        delivered,
+        stats.enqueued,
+        stats.dropped as f64 / stats.enqueued as f64 * 100.0,
+        stats.queue_dropped,
+        mean_latency.as_millis_f64(),
+        max_latency.as_millis_f64(),
+        duplicates,
+        corrupted,
         reordered,
     );
 }
