@@ -5,7 +5,8 @@ use crate::{
     obb_overlap, Actor, ActorId, ActorKind, ActorSnapshot, Behavior, CollisionEvent,
     LaneInvasionEvent, WorldSnapshot,
 };
-use rdsim_roadnet::{LaneId, LanePosition, RoadNetwork};
+use rdsim_math::{Pose2, Vec2};
+use rdsim_roadnet::{LaneId, LanePosition, LaneProjection, RoadNetwork};
 use rdsim_units::{Meters, MetersPerSecond, Ratio, SimDuration, SimTime};
 use rdsim_vehicle::{ControlInput, VehicleSpec, VehicleState};
 use serde::{Deserialize, Serialize};
@@ -25,6 +26,12 @@ pub struct Weather {
 pub struct World {
     net: RoadNetwork,
     actors: Vec<Actor>,
+    /// Nearest-lane projection of each actor's current position, indexed
+    /// like `actors`: always `net.project(position)`, bit for bit. Written
+    /// only by `spawn`, `teleport`, `teleport_pose` and pass 2 of `step` —
+    /// the only places a position changes — and read by every per-tick
+    /// consumer instead of projecting again.
+    projections: Vec<Option<LaneProjection>>,
     time: SimTime,
     frame_hint: u64,
     weather: Weather,
@@ -51,6 +58,7 @@ impl World {
         World {
             net,
             actors: Vec::new(),
+            projections: Vec::new(),
             time: SimTime::ZERO,
             frame_hint: 0,
             weather: Weather::default(),
@@ -117,6 +125,8 @@ impl World {
         let pose = self.net.pose_at(position);
         let id = ActorId(self.actors.len() as u32);
         let state = VehicleState::moving(pose, speed);
+        self.projections
+            .push(self.net.project_from(position.lane, pose.position));
         self.actors
             .push(Actor::new(id, kind, spec, behavior, state));
         if kind == ActorKind::Ego {
@@ -198,6 +208,16 @@ impl World {
         &self.actors[id.0 as usize]
     }
 
+    /// The nearest-lane projection of an actor's current position — the
+    /// cached value of `network().project(actor(id).state().position())`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown id.
+    pub fn lane_projection(&self, id: ActorId) -> Option<LaneProjection> {
+        self.projections[id.0 as usize]
+    }
+
     /// Sets the external control applied to an externally driven actor on
     /// subsequent steps.
     ///
@@ -220,14 +240,18 @@ impl World {
 
     /// Places an actor at an arbitrary world pose, at rest (e.g. parked
     /// vehicles offset from the lane centre).
-    pub fn teleport_pose(&mut self, id: ActorId, pose: rdsim_math::Pose2) {
-        self.actors[id.0 as usize].set_state(VehicleState::at_pose(pose));
+    pub fn teleport_pose(&mut self, id: ActorId, pose: Pose2) {
+        let i = id.0 as usize;
+        self.actors[i].set_state(VehicleState::at_pose(pose));
+        self.projections[i] = reproject(&self.net, self.projections[i], pose.position);
     }
 
     /// Teleports an actor (used when resetting between runs).
     pub fn teleport(&mut self, id: ActorId, position: LanePosition, speed: MetersPerSecond) {
         let pose = self.net.pose_at(position);
-        self.actors[id.0 as usize].set_state(VehicleState::moving(pose, speed));
+        let i = id.0 as usize;
+        self.actors[i].set_state(VehicleState::moving(pose, speed));
+        self.projections[i] = self.net.project_from(position.lane, pose.position);
         if Some(id) == self.ego {
             self.ego_lane = Some(position.lane);
             self.ego_was_outside = false;
@@ -263,9 +287,20 @@ impl World {
         controls.clear();
         controls.extend((0..self.actors.len()).map(|i| self.decide_control(i)));
 
-        // Pass 2: integrate.
-        for (actor, control) in self.actors.iter_mut().zip(&controls) {
+        // Pass 2: integrate, re-projecting only actors whose position
+        // bits moved (parked vehicles keep their entry).
+        for ((actor, control), proj) in self
+            .actors
+            .iter_mut()
+            .zip(&controls)
+            .zip(&mut self.projections)
+        {
+            let before = actor.state().position();
             actor.integrate(control, dt_s);
+            let after = actor.state().position();
+            if (before.x.to_bits(), before.y.to_bits()) != (after.x.to_bits(), after.y.to_bits()) {
+                *proj = reproject(&self.net, *proj, after);
+            }
         }
         self.control_scratch = controls;
 
@@ -280,19 +315,18 @@ impl World {
             Behavior::External => actor.external_control,
             Behavior::Stationary => ControlInput::COAST.with_handbrake(true),
             Behavior::LaneFollow(cfg) => {
-                let lane = match cfg.lane_override {
-                    Some(lane) => lane,
-                    None => {
+                // Without an override the tracked lane is the nearest one,
+                // and the cached projection is the projection onto it.
+                let pos = match cfg.lane_override {
+                    Some(lane) => {
                         self.net
-                            .project(actor.state().position())
-                            .expect("network has lanes")
+                            .project_onto_lane(lane, actor.state().position())
                             .position
-                            .lane
                     }
+                    None => self.projections[index].expect("network has lanes").position,
                 };
-                let proj = self.net.project_onto_lane(lane, actor.state().position());
-                let leader = self.find_leader(index, proj.position, cfg.leader_horizon);
-                cfg.control(&self.net, lane, actor.state(), actor.spec(), leader)
+                let leader = self.find_leader(index, pos, cfg.leader_horizon);
+                cfg.control(&self.net, pos, actor.state(), actor.spec(), leader)
             }
         }
     }
@@ -307,14 +341,11 @@ impl World {
     ) -> Option<(Meters, MetersPerSecond)> {
         let me = &self.actors[self_index];
         let mut best: Option<(Meters, MetersPerSecond)> = None;
-        for (i, other) in self.actors.iter().enumerate() {
+        for (i, (other, proj)) in self.actors.iter().zip(&self.projections).enumerate() {
             if i == self_index || other.kind() == ActorKind::Prop {
                 continue;
             }
-            let proj = match self.net.project(other.state().position()) {
-                Some(p) => p,
-                None => continue,
-            };
+            let Some(proj) = proj else { continue };
             // Must actually be on the lane, not merely projectable onto it.
             if proj.distance.get() > self.net.lane(proj.position.lane).width().get() {
                 continue;
@@ -461,13 +492,13 @@ impl World {
     pub fn ego_lead_gap(&self, horizon: Meters) -> Option<(ActorId, Meters, MetersPerSecond)> {
         let ego_id = self.ego?;
         let ego = self.actor(ego_id);
-        let proj = self.net.project(ego.state().position())?;
+        let proj = self.projections[ego_id.0 as usize]?;
         let mut best: Option<(ActorId, Meters, MetersPerSecond)> = None;
-        for other in &self.actors {
+        for (other, oproj) in self.actors.iter().zip(&self.projections) {
             if other.id() == ego_id || other.kind() != ActorKind::Vehicle {
                 continue;
             }
-            let oproj = self.net.project(other.state().position())?;
+            let oproj = (*oproj)?;
             if oproj.distance.get() > self.net.lane(oproj.position.lane).width().get() {
                 continue;
             }
@@ -519,6 +550,19 @@ impl World {
         );
         snapshot.time = self.time;
         snapshot.frame_id = self.frame_hint;
+    }
+}
+
+/// Re-projects `point` onto the nearest lane, warm-starting the scan from
+/// the lane of the previous projection when there is one.
+fn reproject(
+    net: &RoadNetwork,
+    prev: Option<LaneProjection>,
+    point: Vec2,
+) -> Option<LaneProjection> {
+    match prev {
+        Some(prev) => net.project_from(prev.position.lane, point),
+        None => net.project(point),
     }
 }
 
