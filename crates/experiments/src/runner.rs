@@ -329,7 +329,14 @@ fn build_run(
         .unwrap_or(config.laps as f64 * course.lap_length() - 40.0);
     let consumed = vec![vec![false; plan.fault_points.len()]; laps_planned as usize];
     let ego = session.world().ego_id().expect("ego spawned");
-    let prev_s = course.chain_s(session.world().network(), ego_pos(&session, ego));
+    let prev_s = {
+        let world = session.world();
+        course.chain_s(
+            world.network(),
+            ego_pos(&session, ego),
+            world.lane_projection(ego),
+        )
+    };
     let max_steps = config.max_duration.div_steps(config.dt);
 
     let director = ProtocolDriver {
@@ -410,10 +417,9 @@ impl ProtocolDriver {
         let course = &self.course;
         let plan = &self.plan;
         let pos = ego_pos(session, self.ego);
-        let s = {
-            let world = session.world();
-            course.chain_s(world.network(), pos)
-        };
+        // The cached nearest-lane projections seed every chain query.
+        let ego_nearest = session.world().lane_projection(self.ego);
+        let s = course.chain_s(session.world().network(), pos, ego_nearest);
         // Unwrapped progress and lap counting.
         let mut delta = s - self.prev_s;
         if delta < -course.lap_length() / 2.0 {
@@ -443,10 +449,7 @@ impl ProtocolDriver {
         } else {
             (course.outer(), self.config.urban_speed)
         };
-        let lane = {
-            let world = session.world();
-            course.nearest_of(world.network(), chain, pos)
-        };
+        let lane = course.nearest_of(session.world().network(), chain, pos, ego_nearest);
         if self.progress >= self.target {
             self.stopping = true;
         }
@@ -461,14 +464,15 @@ impl ProtocolDriver {
         if let Some(lead) = self.lead {
             let lead_pos = ego_pos(session, lead);
             let world = session.world();
-            let lead_s = course.chain_s(world.network(), lead_pos);
+            let lead_nearest = world.lane_projection(lead);
+            let lead_s = course.chain_s(world.network(), lead_pos, lead_nearest);
             let lead_in_zone = course.within(lead_s, plan.slalom.0 - 25.0, plan.slalom.1 + 10.0);
             let (lead_chain, lead_speed) = if lead_in_zone {
                 (course.inner(), MetersPerSecond::new(13.0))
             } else {
                 (course.outer(), self.config.lead_speed)
             };
-            let lead_lane = course.nearest_of(world.network(), lead_chain, lead_pos);
+            let lead_lane = course.nearest_of(world.network(), lead_chain, lead_pos, lead_nearest);
             let cfg = LaneFollowConfig::urban(lead_speed).with_lane(lead_lane);
             session
                 .world_mut()

@@ -15,7 +15,7 @@
 
 use rdsim_core::PaperFault;
 use rdsim_math::Vec2;
-use rdsim_roadnet::{LaneId, RoadNetwork};
+use rdsim_roadnet::{LaneId, LaneProjection, RoadNetwork};
 use serde::{Deserialize, Serialize};
 
 /// Maps world positions to progress along the ring's lane chains.
@@ -84,9 +84,18 @@ impl CourseMap {
 
     /// Chain position (arc length from the course origin, within one lap)
     /// of a world point, measured against the outer chain.
-    pub fn chain_s(&self, net: &RoadNetwork, position: Vec2) -> f64 {
+    ///
+    /// `nearest` is an optional nearest-lane projection of `position`
+    /// (`World::lane_projection`, say); when its lane is on the chain it
+    /// seeds the search, which gives the same bits with less work.
+    pub fn chain_s(
+        &self,
+        net: &RoadNetwork,
+        position: Vec2,
+        nearest: Option<LaneProjection>,
+    ) -> f64 {
         let proj = net
-            .project_among(&self.outer, position)
+            .project_among(&self.outer, on_chain(&self.outer, nearest), position)
             .expect("outer chain is non-empty");
         let idx = self
             .outer
@@ -96,9 +105,16 @@ impl CourseMap {
         self.offsets[idx] + proj.position.s.get()
     }
 
-    /// The nearest lane of the given chain to a world point.
-    pub fn nearest_of(&self, net: &RoadNetwork, chain: &[LaneId], position: Vec2) -> LaneId {
-        net.project_among(chain, position)
+    /// The nearest lane of the given chain to a world point; `nearest`
+    /// seeds the search as in [`chain_s`](Self::chain_s).
+    pub fn nearest_of(
+        &self,
+        net: &RoadNetwork,
+        chain: &[LaneId],
+        position: Vec2,
+        nearest: Option<LaneProjection>,
+    ) -> LaneId {
+        net.project_among(chain, on_chain(chain, nearest), position)
             .expect("chain is non-empty")
             .position
             .lane
@@ -113,6 +129,12 @@ impl CourseMap {
             s >= from || s < to
         }
     }
+}
+
+/// `nearest` if it projects onto a lane of `chain` — the only seeds
+/// [`RoadNetwork::project_among`] accepts.
+fn on_chain(chain: &[LaneId], nearest: Option<LaneProjection>) -> Option<LaneProjection> {
+    nearest.filter(|p| chain.contains(&p.position.lane))
 }
 
 /// A point of interest where a fault may be injected: a chain-s window.
@@ -228,15 +250,15 @@ mod tests {
     fn chain_s_increases_along_south_avenue() {
         let net = town05();
         let course = CourseMap::new(&net);
-        let s1 = course.chain_s(&net, Vec2::new(100.0, 0.0));
-        let s2 = course.chain_s(&net, Vec2::new(400.0, 0.0));
+        let s1 = course.chain_s(&net, Vec2::new(100.0, 0.0), None);
+        let s2 = course.chain_s(&net, Vec2::new(400.0, 0.0), None);
         assert!((s1 - 100.0).abs() < 1.0);
         assert!((s2 - 400.0).abs() < 1.0);
         // East side: past the south segment + SE corner.
-        let s3 = course.chain_s(&net, Vec2::new(650.0, 200.0));
+        let s3 = course.chain_s(&net, Vec2::new(650.0, 200.0), None);
         assert!(s3 > 600.0 && s3 < 1057.0, "east side s = {s3}");
         // North (highway).
-        let s4 = course.chain_s(&net, Vec2::new(300.0, 400.0));
+        let s4 = course.chain_s(&net, Vec2::new(300.0, 400.0), None);
         assert!(s4 > 1057.0 && s4 < 1657.0, "north s = {s4}");
     }
 
@@ -257,10 +279,36 @@ mod tests {
         let net = town05();
         let course = CourseMap::new(&net);
         let p = Vec2::new(300.0, 3.5); // on the inner lane of the avenue
-        let inner = course.nearest_of(&net, course.inner(), p);
+        let inner = course.nearest_of(&net, course.inner(), p, None);
         assert_eq!(inner, LaneId(1));
-        let outer = course.nearest_of(&net, course.outer(), p);
+        let outer = course.nearest_of(&net, course.outer(), p, None);
         assert_eq!(outer, LaneId(0));
+    }
+
+    #[test]
+    fn nearest_lane_seed_changes_no_answer() {
+        let net = town05();
+        let course = CourseMap::new(&net);
+        let mut rng = RngStream::from_seed(0x5eed_c4a1);
+        for _ in 0..2_000 {
+            let p = Vec2::new(
+                rng.uniform_range(-80.0, 680.0),
+                rng.uniform_range(-50.0, 450.0),
+            );
+            let nearest = net.project(p);
+            assert_eq!(
+                course.chain_s(&net, p, nearest).to_bits(),
+                course.chain_s(&net, p, None).to_bits(),
+                "chain_s({p})"
+            );
+            for chain in [course.outer(), course.inner()] {
+                assert_eq!(
+                    course.nearest_of(&net, chain, p, nearest),
+                    course.nearest_of(&net, chain, p, None),
+                    "nearest_of({p})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -384,13 +384,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing at
-                    // char boundaries is safe via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // go: both are ASCII, so the run of the (UTF-8) input
+                    // ends on a char boundary, and only the run is
+                    // validated — not the whole rest of the input per char.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -489,6 +493,25 @@ mod tests {
         write_json_string(&mut s, original);
         let v = JsonValue::parse(&s).unwrap();
         assert_eq!(v.as_str(), Some(original));
+    }
+
+    #[test]
+    fn long_mixed_strings_round_trip() {
+        // Long plain runs between escapes and multi-byte scalars: the
+        // parser copies each run whole.
+        let original: String = (0..4_000)
+            .map(|i| match i % 9 {
+                0 => "\"",
+                1 => "\\",
+                2 => "π🚗",
+                3 => "\n",
+                _ => "run",
+            })
+            .collect();
+        let mut s = String::new();
+        write_json_string(&mut s, &original);
+        let v = JsonValue::parse(&s).unwrap();
+        assert_eq!(v.as_str(), Some(original.as_str()));
     }
 
     #[test]

@@ -7,11 +7,33 @@ use serde::{Deserialize, Serialize};
 /// Segments per pruning chunk of the projection index.
 const CHUNK: usize = 16;
 
-/// Skip margin for the exact pruning in [`Polyline::project`]: a chunk or
+/// Segments per sub-box, the index's second level: a chunk whose box
+/// survives pruning scans only its surviving sub-boxes.
+const SUB: usize = 4;
+
+/// Sub-boxes per chunk.
+const SUBS_PER_CHUNK: usize = CHUNK / SUB;
+
+/// Skip margin for the exact pruning in [`Polyline::project`]: a box or
 /// lane is only skipped when its box lower bound exceeds the pruning
 /// threshold by more than this relative slack, which conservatively
 /// absorbs the few-ulp rounding of the bound and candidate arithmetic.
-pub(crate) const PRUNE_SLACK: f64 = 1.0 - 1e-9;
+const PRUNE_SLACK: f64 = 1.0 - 1e-9;
+
+/// Absolute skip margin (m², a micrometre squared) on top of
+/// [`PRUNE_SLACK`]. A candidate's closest point carries an absolute
+/// rounding error of a few ulps of its coordinates (≲1e-12 m on a
+/// kilometre-sized map), so within micrometres of a centreline its
+/// squared distance can fall below the box bound by more than any
+/// relative slack; nothing that close is ever skipped.
+const PRUNE_FLOOR: f64 = 1e-12;
+
+/// Whether a box or lane whose squared-distance lower bound is `lower`
+/// provably holds no candidate at or below the threshold `bound`.
+#[inline]
+pub(crate) fn beyond(lower: f64, bound: f64) -> bool {
+    lower * PRUNE_SLACK > bound + PRUNE_FLOOR
+}
 
 /// Axis-aligned bounding box over a run of consecutive polyline vertices.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,22 +75,47 @@ impl SegAabb {
 /// and arcs; with ~1 m vertex spacing the chord error of an urban-radius
 /// curve is far below lane-width tolerances.
 ///
-/// Construction also builds a chunked bounding-box index ([`CHUNK`]
-/// segments per box) used by [`project`](Self::project) to skip runs of
-/// segments that provably cannot contain the nearest point — an exact
-/// optimisation: results are bit-identical to the plain linear scan.
+/// Construction also builds a two-level bounding-box index (16 segments
+/// per chunk box, 4 per sub-box) used by
+/// [`project`](Self::project) to skip runs of segments that provably
+/// cannot contain the nearest point — an exact optimisation: results are
+/// bit-identical to the plain linear scan.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Polyline {
     points: Vec<Vec2>,
     /// `cum[i]` is the arc length from the start to `points[i]`.
     cum: Vec<f64>,
+    /// `dirs[i]` is the unit direction of segment `i`,
+    /// `(points[i + 1] - points[i]).normalized()`.
+    #[serde(skip)]
+    dirs: Vec<Vec2>,
     /// Bounding box of vertices `[k*CHUNK ..= min(end, (k+1)*CHUNK)]` —
     /// i.e. every segment in chunk `k` including its shared endpoints.
     #[serde(skip)]
     chunks: Vec<SegAabb>,
+    /// Bounding box of vertices `[k*SUB ..= min(end, (k+1)*SUB)]`; chunk
+    /// `c` holds sub-boxes `c*SUBS_PER_CHUNK ..`.
+    #[serde(skip)]
+    subs: Vec<SegAabb>,
     /// Bounding box of the whole polyline.
     #[serde(skip)]
     bounds: SegAabb,
+}
+
+/// Bounding boxes of consecutive runs of `per` segments of `points`, each
+/// including both endpoints of every segment in its run.
+fn segment_boxes(points: &[Vec2], per: usize) -> Vec<SegAabb> {
+    let nseg = points.len() - 1;
+    (0..nseg)
+        .step_by(per)
+        .map(|start| {
+            let mut bb = SegAabb::EMPTY;
+            for &p in &points[start..=(start + per).min(nseg)] {
+                bb.include(p);
+            }
+            bb
+        })
+        .collect()
 }
 
 impl Polyline {
@@ -98,24 +145,20 @@ impl Polyline {
             total += w[0].distance(w[1]);
             cum.push(total);
         }
-        let nseg = dedup.len() - 1;
         let mut bounds = SegAabb::EMPTY;
         for &p in &dedup {
             bounds.include(p);
         }
-        let mut chunks = Vec::with_capacity(nseg.div_ceil(CHUNK));
-        for start in (0..nseg).step_by(CHUNK) {
-            let mut bb = SegAabb::EMPTY;
-            // Include both endpoints of every segment in the chunk.
-            for &p in &dedup[start..=(start + CHUNK).min(nseg)] {
-                bb.include(p);
-            }
-            chunks.push(bb);
-        }
+        let dirs = dedup
+            .windows(2)
+            .map(|w| (w[1] - w[0]).normalized().expect("distinct points"))
+            .collect();
         Polyline {
+            chunks: segment_boxes(&dedup, CHUNK),
+            subs: segment_boxes(&dedup, SUB),
             points: dedup,
             cum,
-            chunks,
+            dirs,
             bounds,
         }
     }
@@ -146,10 +189,7 @@ impl Polyline {
 
     /// The unit tangent direction at arc length `s`.
     pub fn tangent_at(&self, s: Meters) -> Vec2 {
-        let (i, _) = self.locate(s.get());
-        (self.points[i + 1] - self.points[i])
-            .normalized()
-            .expect("distinct points")
+        self.dirs[self.locate(s.get()).0]
     }
 
     /// The heading of the tangent at arc length `s`.
@@ -175,50 +215,115 @@ impl Polyline {
     /// point, the **signed** lateral offset (positive = left of travel
     /// direction) and the absolute distance.
     pub fn project(&self, p: Vec2) -> (Meters, Meters, Meters) {
-        let mut best_d2 = f64::INFINITY;
-        let mut best_s = 0.0;
-        let mut best_seg = 0usize;
-        let mut best_point = self.points[0];
-        let nseg = self.points.len() - 1;
-        // Pruning threshold: the squared distance to one real vertex per
-        // chunk upper-bounds the eventual best (that vertex is itself a
-        // projection candidate), so any chunk whose box lower bound
-        // exceeds min(threshold, running best) — with PRUNE_SLACK
+        let (s, lateral, distance, _) = self.project_near(p, None);
+        (s, lateral, distance)
+    }
+
+    /// [`project`](Self::project) warm-started from segment `hint`
+    /// (typically the segment the point was nearest to a moment ago),
+    /// also returning the index of the winning segment. Any hint, or none,
+    /// gives the same bits; a good hint only makes the pruning tighter.
+    pub(crate) fn project_near(
+        &self,
+        p: Vec2,
+        hint: Option<usize>,
+    ) -> (Meters, Meters, Meters, usize) {
+        self.project_within(p, hint, f64::INFINITY)
+            .expect("an unlimited scan visits a segment")
+    }
+
+    /// [`project_near`](Self::project_near) for a caller that only needs
+    /// the projection when it lies within squared distance `limit` — the
+    /// distance of a real candidate elsewhere, such as another lane's
+    /// projection. The result is exact whenever the nearest point lies
+    /// within `limit`; otherwise it is `None` or a candidate farther than
+    /// `limit`, never one that ties with or beats it.
+    pub(crate) fn project_within(
+        &self,
+        p: Vec2,
+        hint: Option<usize>,
+        limit: f64,
+    ) -> Option<(Meters, Meters, Meters, usize)> {
+        let nseg = self.dirs.len();
+        // Pruning threshold: the squared distance of any real candidate
+        // upper-bounds the eventual best, so any box whose lower bound
+        // exceeds min(threshold, running best) — with the `beyond` margins
         // absorbing float rounding — contains only candidates that can
-        // never *strictly* beat the best. Skipping them preserves the
-        // first-minimal-segment tie-break exactly.
-        let mut ub = f64::INFINITY;
-        if self.chunks.len() > 1 {
-            for start in (0..nseg).step_by(CHUNK) {
-                ub = ub.min((p - self.points[start]).length_squared());
-            }
-            ub = ub.min((p - self.points[nseg]).length_squared());
-        }
+        // never *strictly* beat the best. Skipping them, while the scan
+        // stays in segment order, preserves the first-minimal-segment
+        // tie-break exactly. The candidates are the hinted segment and its
+        // neighbours, and one vertex per chunk — measured only once a
+        // chunk other than the hint's survives, which after a good hint
+        // or under a tight `limit` is rare.
+        let hint = hint.map(|h| h.min(nseg - 1));
+        let mut bound = match hint {
+            Some(h) => (h.saturating_sub(1)..(h + 2).min(nseg))
+                .map(|i| self.segment_dist2(p, i).0)
+                .fold(limit, f64::min),
+            None => limit,
+        };
+        let hint_chunk = hint.map(|h| h / CHUNK);
+        let mut vertex_bound_due = self.chunks.len() > 1;
+        let mut scanned = false;
+        let mut best_d2 = f64::INFINITY;
+        let mut best_seg = 0usize;
+        let mut best_t = 0.0;
+        let mut best_point = self.points[0];
         for (ci, bb) in self.chunks.iter().enumerate() {
-            if bb.dist2_lower(p) * PRUNE_SLACK > best_d2.min(ub) {
+            let lower = bb.dist2_lower(p);
+            if beyond(lower, bound) {
                 continue;
             }
-            let start = ci * CHUNK;
-            for i in start..(start + CHUNK).min(nseg) {
-                let (t, q) = p.project_onto_segment(self.points[i], self.points[i + 1]);
-                let d2 = (p - q).length_squared();
-                if d2 < best_d2 {
-                    best_d2 = d2;
-                    best_seg = i;
-                    best_point = q;
-                    best_s = self.cum[i] + (self.cum[i + 1] - self.cum[i]) * t;
+            if vertex_bound_due && Some(ci) != hint_chunk {
+                vertex_bound_due = false;
+                bound = (0..nseg)
+                    .step_by(CHUNK)
+                    .chain([nseg])
+                    .map(|i| (p - self.points[i]).length_squared())
+                    .fold(bound, f64::min);
+                if beyond(lower, bound) {
+                    continue;
+                }
+            }
+            let first_sub = ci * SUBS_PER_CHUNK;
+            let last_sub = (first_sub + SUBS_PER_CHUNK).min(self.subs.len());
+            for si in first_sub..last_sub {
+                if beyond(self.subs[si].dist2_lower(p), bound) {
+                    continue;
+                }
+                scanned = true;
+                let start = si * SUB;
+                for i in start..(start + SUB).min(nseg) {
+                    let (d2, t, q) = self.segment_dist2(p, i);
+                    if d2 < best_d2 {
+                        best_d2 = d2;
+                        best_seg = i;
+                        best_t = t;
+                        best_point = q;
+                        bound = bound.min(d2);
+                    }
                 }
             }
         }
-        let seg_dir = (self.points[best_seg + 1] - self.points[best_seg])
-            .normalized()
-            .expect("distinct points");
-        let lateral = seg_dir.cross(p - best_point);
-        (
+        if !scanned {
+            return None;
+        }
+        let best_s = self.cum[best_seg] + (self.cum[best_seg + 1] - self.cum[best_seg]) * best_t;
+        let lateral = self.dirs[best_seg].cross(p - best_point);
+        Some((
             Meters::new(best_s),
             Meters::new(lateral),
             Meters::new(best_d2.sqrt()),
-        )
+            best_seg,
+        ))
+    }
+
+    /// Squared distance from `p` to segment `i`, with the segment
+    /// parameter and the closest point — one projection candidate.
+    #[inline]
+    fn segment_dist2(&self, p: Vec2, i: usize) -> (f64, f64, Vec2) {
+        let (t, q) = p.project_onto_segment(self.points[i], self.points[i + 1]);
+        ((p - q).length_squared(), t, q)
     }
 
     /// Binary-searches the segment containing arc length `s`.
@@ -445,6 +550,97 @@ mod tests {
         let p = straight10();
         let off = p.offset_point_at(Meters::new(2.0), Meters::new(-1.0));
         assert!((off.x - 2.0).abs() < 1e-9 && (off.y + 1.0).abs() < 1e-9);
+    }
+
+    /// The plain linear scan the indexed kernel must reproduce: every
+    /// segment in order, first strictly-smaller distance, the direction
+    /// normalised afresh.
+    fn project_linear(line: &Polyline, p: Vec2) -> (u64, u64, u64, usize) {
+        let pts = line.points();
+        let (mut best_d2, mut best_seg, mut best_t, mut best_q) = (f64::INFINITY, 0, 0.0, pts[0]);
+        for i in 0..pts.len() - 1 {
+            let (t, q) = p.project_onto_segment(pts[i], pts[i + 1]);
+            let d2 = (p - q).length_squared();
+            if d2 < best_d2 {
+                (best_d2, best_seg, best_t, best_q) = (d2, i, t, q);
+            }
+        }
+        let (i, cum) = (best_seg, &line.cum);
+        let s = cum[i] + (cum[i + 1] - cum[i]) * best_t;
+        let dir = (pts[i + 1] - pts[i]).normalized().unwrap();
+        let lateral = dir.cross(p - best_q);
+        (s.to_bits(), lateral.to_bits(), best_d2.sqrt().to_bits(), i)
+    }
+
+    fn near_bits(line: &Polyline, p: Vec2, hint: Option<usize>) -> (u64, u64, u64, usize) {
+        let (s, lateral, distance, seg) = line.project_near(p, hint);
+        (
+            s.get().to_bits(),
+            lateral.get().to_bits(),
+            distance.get().to_bits(),
+            seg,
+        )
+    }
+
+    #[test]
+    fn indexed_projection_matches_linear_scan_from_every_hint() {
+        // 203 segments: twelve full chunks and a partial one, on a curve
+        // folded back on itself so far-apart segments compete.
+        let line = Polyline::arc(
+            Vec2::new(5.0, -3.0),
+            Meters::new(20.0),
+            Radians::new(0.4),
+            Radians::new(2.0 * PI + 1.0),
+            Meters::new(0.7),
+        );
+        let mut rng = rdsim_math::RngStream::from_seed(0x9017);
+        let mut points: Vec<Vec2> = (0..300)
+            .map(|_| {
+                Vec2::new(
+                    rng.uniform_range(-30.0, 40.0),
+                    rng.uniform_range(-35.0, 30.0),
+                )
+            })
+            .collect();
+        // Vertices, the centre (equidistant from everything) and points
+        // just off the centreline, where ties and rounding live.
+        points.extend(line.points().iter().step_by(7).copied());
+        points.push(Vec2::new(5.0, -3.0));
+        points.extend(
+            line.points()
+                .iter()
+                .step_by(11)
+                .map(|&v| v + Vec2::new(1e-13, -1e-13)),
+        );
+        let nseg = line.points().len() - 1;
+        for p in points {
+            let want = project_linear(&line, p);
+            assert_eq!(near_bits(&line, p, None), want, "unhinted at {p}");
+            for hint in 0..nseg + 3 {
+                assert_eq!(near_bits(&line, p, Some(hint)), want, "hint {hint} at {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn direction_table_matches_fresh_normalisation() {
+        let line = straight10().extend_with(&Polyline::arc(
+            Vec2::new(10.0, 4.0),
+            Meters::new(4.0),
+            Radians::new(-FRAC_PI_2),
+            Radians::new(2.5),
+            Meters::new(0.3),
+        ));
+        let pts = line.points();
+        for i in 0..pts.len() - 1 {
+            let mid = Meters::new((line.cum[i] + line.cum[i + 1]) / 2.0);
+            let fresh = (pts[i + 1] - pts[i]).normalized().unwrap();
+            let t = line.tangent_at(mid);
+            assert_eq!(
+                (t.x.to_bits(), t.y.to_bits()),
+                (fresh.x.to_bits(), fresh.y.to_bits())
+            );
+        }
     }
 
     proptest! {

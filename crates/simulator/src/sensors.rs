@@ -49,6 +49,32 @@ pub fn obb_overlap(
     len_b: Meters,
     wid_b: Meters,
 ) -> bool {
+    // Bounding circles: centres farther apart than the two half-diagonals
+    // plus a millimetre leave a gap of over a millimetre between the boxes,
+    // which the separating-axis test below would find on one of its axes
+    // with a margin far beyond its rounding — so skipping it changes no
+    // answer.
+    let half_diagonal = |len: Meters, wid: Meters| {
+        let (l, w) = (len.get(), wid.get());
+        0.5 * (l * l + w * w).sqrt()
+    };
+    let reach = half_diagonal(len_a, wid_a) + half_diagonal(len_b, wid_b) + 1e-3;
+    if (pose_b.position - pose_a.position).length_squared() > reach * reach {
+        return false;
+    }
+    sat_overlap(pose_a, len_a, wid_a, pose_b, len_b, wid_b)
+}
+
+/// The separating-axis test behind [`obb_overlap`], without its
+/// bounding-circle early-out.
+fn sat_overlap(
+    pose_a: Pose2,
+    len_a: Meters,
+    wid_a: Meters,
+    pose_b: Pose2,
+    len_b: Meters,
+    wid_b: Meters,
+) -> bool {
     let corners = |pose: Pose2, len: Meters, wid: Meters| -> [Vec2; 4] {
         let hl = len.get() / 2.0;
         let hw = wid.get() / 2.0;
@@ -221,6 +247,52 @@ mod tests {
             CAR_L,
             CAR_W
         ));
+    }
+
+    #[test]
+    fn bounding_circle_early_out_matches_separating_axes() {
+        let sizes = [
+            (CAR_L, CAR_W),
+            (Meters::new(5.2), Meters::new(2.0)),
+            (Meters::new(1.8), Meters::new(0.6)),
+        ];
+        let mut rng = rdsim_math::RngStream::from_seed(0x0bb);
+        let (mut touching, mut near) = (0, 0);
+        for k in 0..200_000 {
+            let (len_a, wid_a) = sizes[k % 3];
+            let (len_b, wid_b) = sizes[(k / 3) % 3];
+            let a = pose(
+                rng.uniform_range(-50.0, 50.0),
+                rng.uniform_range(-50.0, 50.0),
+                rng.uniform_range(-4.0, 4.0),
+            );
+            // Centre distance around the circle reach, often within a few
+            // millimetres of it, where the early-out and the SAT meet.
+            let reach = 0.5 * (len_a.get().hypot(wid_a.get()) + len_b.get().hypot(wid_b.get()));
+            let dist = match k % 4 {
+                0 => rng.uniform_range(0.0, reach + 2.0),
+                1 => reach + rng.uniform_range(-0.005, 0.005),
+                _ => rng.uniform_range(0.3, 1.0) * (len_a.get() + len_b.get()) / 2.0,
+            };
+            let dir = rng.uniform_range(-4.0, 4.0);
+            let b = pose(
+                a.position.x + dist * dir.cos(),
+                a.position.y + dist * dir.sin(),
+                rng.uniform_range(-4.0, 4.0),
+            );
+            let want = sat_overlap(a, len_a, wid_a, b, len_b, wid_b);
+            assert_eq!(
+                obb_overlap(a, len_a, wid_a, b, len_b, wid_b),
+                want,
+                "{a:?} {b:?}"
+            );
+            touching += usize::from(want);
+            near += usize::from((dist - reach).abs() < 0.005);
+        }
+        assert!(
+            touching > 20_000 && near > 40_000,
+            "{touching} touching, {near} near"
+        );
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl World {
         let id = ActorId(self.actors.len() as u32);
         let state = VehicleState::moving(pose, speed);
         self.projections
-            .push(self.net.project_from(position.lane, pose.position));
+            .push(self.net.project_from(position.lane, None, pose.position));
         self.actors
             .push(Actor::new(id, kind, spec, behavior, state));
         if kind == ActorKind::Ego {
@@ -239,11 +239,16 @@ impl World {
     }
 
     /// Places an actor at an arbitrary world pose, at rest (e.g. parked
-    /// vehicles offset from the lane centre).
+    /// vehicles offset from the lane centre). The ego's lane tracker
+    /// re-anchors to the nearest lane of the new pose.
     pub fn teleport_pose(&mut self, id: ActorId, pose: Pose2) {
         let i = id.0 as usize;
         self.actors[i].set_state(VehicleState::at_pose(pose));
         self.projections[i] = reproject(&self.net, self.projections[i], pose.position);
+        if Some(id) == self.ego {
+            self.ego_lane = self.projections[i].map(|p| p.position.lane);
+            self.ego_was_outside = false;
+        }
     }
 
     /// Teleports an actor (used when resetting between runs).
@@ -251,7 +256,7 @@ impl World {
         let pose = self.net.pose_at(position);
         let i = id.0 as usize;
         self.actors[i].set_state(VehicleState::moving(pose, speed));
-        self.projections[i] = self.net.project_from(position.lane, pose.position);
+        self.projections[i] = self.net.project_from(position.lane, None, pose.position);
         if Some(id) == self.ego {
             self.ego_lane = Some(position.lane);
             self.ego_was_outside = false;
@@ -315,15 +320,17 @@ impl World {
             Behavior::External => actor.external_control,
             Behavior::Stationary => ControlInput::COAST.with_handbrake(true),
             Behavior::LaneFollow(cfg) => {
-                // Without an override the tracked lane is the nearest one,
-                // and the cached projection is the projection onto it.
+                // Without an override, or with one naming the nearest lane,
+                // the cached projection is the projection onto the tracked
+                // lane.
+                let cached = self.projections[index].expect("network has lanes");
                 let pos = match cfg.lane_override {
-                    Some(lane) => {
+                    Some(lane) if lane != cached.position.lane => {
                         self.net
                             .project_onto_lane(lane, actor.state().position())
                             .position
                     }
-                    None => self.projections[index].expect("network has lanes").position,
+                    _ => cached.position,
                 };
                 let leader = self.find_leader(index, pos, cfg.leader_horizon);
                 cfg.control(&self.net, pos, actor.state(), actor.spec(), leader)
@@ -409,7 +416,15 @@ impl World {
         let Some(ego_id) = self.ego else { return };
         let Some(lane_id) = self.ego_lane else { return };
         let ego_pos = self.actors[ego_id.0 as usize].state().position();
-        let proj = self.net.project_onto_lane(lane_id, ego_pos);
+        let nearest = self.projections[ego_id.0 as usize].expect("network has lanes");
+        // On the nearest lane the cached projection is the projection onto
+        // the tracked lane, bit for bit.
+        let on_nearest = nearest.position.lane == lane_id;
+        let proj = if on_nearest {
+            nearest
+        } else {
+            self.net.project_onto_lane(lane_id, ego_pos)
+        };
         let lane = self.net.lane(lane_id);
         let outside = lane.is_outside(proj.lateral);
         if outside && !self.ego_was_outside {
@@ -423,6 +438,12 @@ impl World {
             self.lane_invasion_total += 1;
         }
         self.ego_was_outside = outside;
+        // Re-anchoring keeps the first minimal candidate, and the tracked
+        // lane is candidate 0: when it is the nearest lane of all, no
+        // candidate is strictly nearer, so the tracked lane stays.
+        if on_nearest {
+            return;
+        }
 
         // Re-anchor the tracked lane to wherever the ego actually is:
         // current lane, its neighbours, or its successors (and their
@@ -448,7 +469,8 @@ impl World {
                 candidates.push(r);
             }
         }
-        if let Some(best) = self.net.project_among(&candidates, ego_pos) {
+        // Seeded with the projection onto the tracked lane, candidate 0.
+        if let Some(best) = self.net.project_among(&candidates, Some(proj), ego_pos) {
             if best.position.lane != lane_id
                 && !self.net.lane(best.position.lane).is_outside(best.lateral)
             {
@@ -554,14 +576,14 @@ impl World {
 }
 
 /// Re-projects `point` onto the nearest lane, warm-starting the scan from
-/// the lane of the previous projection when there is one.
+/// the lane and segment of the previous projection when there is one.
 fn reproject(
     net: &RoadNetwork,
     prev: Option<LaneProjection>,
     point: Vec2,
 ) -> Option<LaneProjection> {
     match prev {
-        Some(prev) => net.project_from(prev.position.lane, point),
+        Some(prev) => net.project_from(prev.position.lane, Some(prev.segment), point),
         None => net.project(point),
     }
 }
@@ -819,6 +841,27 @@ mod tests {
         assert!(w.actor(ego).state().is_stationary());
         let expected = w.network().pose_at(LanePosition::new(lane, s)).position;
         assert!(w.actor(ego).state().position().distance(expected) < 1e-9);
+    }
+
+    #[test]
+    fn teleport_pose_re_anchors_the_ego_lane_tracker() {
+        let mut w = world();
+        let ego = w.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
+        let start_lane = w.ego_lane();
+        // Onto the northern highway, far from the start lane's neighbours
+        // and successors.
+        let target = Vec2::new(300.0, 400.0);
+        let on_lane = w.network().project(target).unwrap().position;
+        let heading = w.network().pose_at(on_lane).heading;
+        w.teleport_pose(ego, Pose2::new(target, heading));
+        let nearest = w.lane_projection(ego).unwrap().position.lane;
+        assert_ne!(Some(nearest), start_lane);
+        assert_eq!(w.ego_lane(), Some(nearest));
+        for _ in 0..50 {
+            w.step(DT);
+        }
+        assert_eq!(w.ego_lane(), Some(nearest));
+        assert_eq!(w.lane_invasion_count(), 0, "no boundary was crossed");
     }
 
     #[test]
