@@ -4,7 +4,11 @@
 //! Beyond the original same-seed/different-seed spot checks, this suite
 //! pins a **seed matrix** — every paper fault condition plus the fault-free
 //! golden condition, each at three fixed seeds — against digests recorded
-//! in `tests/golden/seed_matrix.txt`. Any change to the simulator, the
+//! in `tests/golden/seed_matrix.txt`. The matrix also pins the two fault
+//! candidates the paper discarded (corruption and duplication) and one
+//! corruption + duplication stress row with barely padded frames, each
+//! with the session's corrupted-frame and corrupted-command counts, so
+//! the receivers' corruption check is under the same contract. Any change to the simulator, the
 //! netem emulator, the driver model or the RNG derivation chain shows up
 //! as a digest drift with a per-condition diff. After an *intentional*
 //! behaviour change, regenerate the file with:
@@ -15,12 +19,12 @@
 //!
 //! and commit the diff together with the change that caused it.
 
-use rdsim::core::{Digestible, PaperFault, RdsSession, RdsSessionConfig, RunKind};
+use rdsim::core::{Digestible, PaperFault, RdsSession, RdsSessionConfig, RunKind, SessionStats};
 use rdsim::experiments::{run_protocol, ScenarioConfig};
 use rdsim::netem::NetemConfig;
 use rdsim::operator::{HumanDriverModel, Instruction, SubjectProfile};
 use rdsim::roadnet::town05;
-use rdsim::simulator::{ActorKind, Behavior, LaneFollowConfig, World};
+use rdsim::simulator::{ActorKind, Behavior, CameraConfig, LaneFollowConfig, World};
 use rdsim::units::{MetersPerSecond, Ratio, SimDuration};
 use rdsim::vehicle::VehicleSpec;
 use std::fmt::Write as _;
@@ -89,9 +93,30 @@ fn condition_label(fault: Option<PaperFault>) -> String {
     }
 }
 
-/// One short ambient-fault run: the given condition active for the whole
-/// 12 simulated seconds, digested over the complete run log.
-fn matrix_digest(fault: Option<PaperFault>, seed: u64) -> u64 {
+/// The corruption/duplication rows: `(label, rule, camera frame size)`.
+/// The first two are the paper's discarded candidates
+/// ([`PaperFault::discarded_candidates`]) on the default 20 kB frame; the
+/// stress row pads frames to only 600 B, so a corrupted frame's byte
+/// lands in the scene data (not the padding) often enough to matter.
+fn corruption_conditions() -> Vec<(String, NetemConfig, usize)> {
+    let default_frame = CameraConfig::default().frame_bytes;
+    let mut rows: Vec<(String, NetemConfig, usize)> = PaperFault::discarded_candidates()
+        .into_iter()
+        .map(|c| (format!("fault-{}", c.label), c.kind.config(), default_frame))
+        .collect();
+    rows.push((
+        "stress-corrupt20%-dup5%-600B".to_owned(),
+        NetemConfig::default()
+            .with_corrupt(Ratio::from_percent(20.0))
+            .with_duplicate(Ratio::from_percent(5.0)),
+        600,
+    ));
+    rows
+}
+
+/// One short ambient-fault run: the given rule active for the whole 12
+/// simulated seconds, digested over the complete run log.
+fn matrix_run(rule: Option<NetemConfig>, frame_bytes: usize, seed: u64) -> (u64, SessionStats) {
     let net = town05();
     let lane = net.spawn_point("ego-start").expect("spawn").lane;
     let mut world = World::new(net.clone(), seed);
@@ -103,14 +128,22 @@ fn matrix_digest(fault: Option<PaperFault>, seed: u64) -> u64 {
         Behavior::LaneFollow(LaneFollowConfig::urban(MetersPerSecond::new(8.0))),
         MetersPerSecond::new(8.0),
     );
-    let mut s = RdsSession::new(world, RdsSessionConfig::default(), seed);
-    if let Some(f) = fault {
-        s.inject_now(f.config());
+    let config = RdsSessionConfig {
+        camera: CameraConfig {
+            frame_bytes,
+            ..RdsSessionConfig::default().camera
+        },
+        ..RdsSessionConfig::default()
+    };
+    let mut s = RdsSession::new(world, config, seed);
+    if let Some(rule) = rule {
+        s.inject_now(rule);
     }
     let mut d = HumanDriverModel::new(&SubjectProfile::typical("matrix"), net, seed);
     d.set_instruction(Instruction::drive(lane, MetersPerSecond::new(11.0)));
     s.run(&mut d, SimDuration::from_secs(12));
-    s.into_log().digest()
+    let stats = s.stats();
+    (s.into_log().digest(), stats)
 }
 
 fn golden_path() -> PathBuf {
@@ -125,15 +158,27 @@ fn seed_matrix_digests_match_golden_file() {
     let mut actual = String::from(
         "# condition seed digest — regenerate with RDSIM_BLESS=1 (see tests/determinism.rs)\n",
     );
+    let default_frame = CameraConfig::default().frame_bytes;
     for fault in MATRIX_CONDITIONS {
         for seed in MATRIX_SEEDS {
-            let digest = matrix_digest(fault, seed);
+            let (digest, _) = matrix_run(fault.map(PaperFault::config), default_frame, seed);
             writeln!(
                 actual,
                 "{} {} {:016x}",
                 condition_label(fault),
                 seed,
                 digest
+            )
+            .unwrap();
+        }
+    }
+    for (label, rule, frame_bytes) in corruption_conditions() {
+        for seed in MATRIX_SEEDS {
+            let (digest, stats) = matrix_run(Some(rule), frame_bytes, seed);
+            writeln!(
+                actual,
+                "{label} {seed} {digest:016x} frames_corrupted={} commands_corrupted={}",
+                stats.frames_corrupted, stats.commands_corrupted
             )
             .unwrap();
         }
