@@ -2,12 +2,13 @@
 //!
 //! Not a criterion bench — a custom harness that installs the
 //! [`rdsim_obs::CountingAlloc`] global allocator, steps one full
-//! remote-driving session (camera → codec → netem uplink → display →
+//! remote-driving session (camera → netem uplink → display →
 //! operator → netem downlink → actuate, under a combined
 //! delay/loss/duplicate/corrupt/reorder fault), and counts allocator
 //! events over the steady-state window. Warm-up covers one complete
-//! fault window plus the opening edge of a second, so every pool and
-//! scratch buffer reaches its high-water mark before counting starts;
+//! fault window plus the opening edge of a second, so the camera's
+//! snapshot ring and every scratch buffer reach their high-water marks
+//! before counting starts;
 //! the measured window then runs entirely *inside* the still-open second
 //! window — every qdisc branch live, no window-edge bookkeeping — so
 //! "zero" really means zero across the whole datapath.

@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the substrates: netem qdisc, world stepping,
-//! frame codec, metric kernels, PRNG.
+//! metric kernels, PRNG.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rdsim_bench::fixture_pair;
@@ -7,7 +7,7 @@ use rdsim_math::{ButterworthLowPass, RngStream, Sample};
 use rdsim_metrics::{steering_reversal_rate, ttc_series, SrrConfig, TtcConfig};
 use rdsim_netem::{NetemConfig, NetemQdisc, Packet, PacketKind};
 use rdsim_roadnet::town05;
-use rdsim_simulator::{decode_frame, encode_frame, ActorKind, Behavior, LaneFollowConfig, World};
+use rdsim_simulator::{ActorKind, Behavior, LaneFollowConfig, World};
 use rdsim_units::{Hertz, MetersPerSecond, Millis, Ratio, Seconds, SimDuration, SimTime};
 use rdsim_vehicle::{ControlInput, KinematicBicycle, VehicleSpec, VehicleState};
 use std::hint::black_box;
@@ -25,7 +25,7 @@ fn netem_benches(c: &mut Criterion) {
         b.iter(|| {
             seq += 1;
             now += SimDuration::from_micros(500);
-            q.enqueue(Packet::new(seq, PacketKind::Video, vec![0u8; 256]), now);
+            q.enqueue(Packet::new(seq, PacketKind::Video, (), 256), now);
             black_box(q.dequeue(now));
         })
     });
@@ -85,26 +85,6 @@ fn simulator_benches(c: &mut Criterion) {
             state = model.step(&state, &input, Seconds::new(0.02));
             black_box(&state);
         })
-    });
-    let snapshot = {
-        let mut world = World::new(town05(), 1);
-        world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
-        world.spawn_npc_at(
-            "lead-start",
-            ActorKind::Vehicle,
-            VehicleSpec::passenger_car(),
-            Behavior::Stationary,
-            MetersPerSecond::ZERO,
-        );
-        world.snapshot()
-    };
-    g.throughput(Throughput::Bytes(20_000));
-    g.bench_function("frame_encode_20kB", |b| {
-        b.iter(|| black_box(encode_frame(black_box(&snapshot), 20_000)))
-    });
-    let encoded = encode_frame(&snapshot, 20_000);
-    g.bench_function("frame_decode_20kB", |b| {
-        b.iter(|| black_box(decode_frame(black_box(&encoded)).expect("valid")))
     });
     g.finish();
 }

@@ -8,7 +8,7 @@
 //!   summaries (E6–E7);
 //! * `validity.rs` — the §VIII sweep points (E8–E9);
 //! * `substrates.rs` — micro-benchmarks of the substrates the system is
-//!   built on (netem qdisc, world stepping, frame codec, metric kernels).
+//!   built on (netem qdisc, world stepping, metric kernels, PRNG).
 //!
 //! This library exposes the shared fixture helpers.
 

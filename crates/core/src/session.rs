@@ -19,9 +19,12 @@ use rdsim_netem::{
     TraceSchedule,
 };
 use rdsim_obs::{Counter, Histogram, Recorder, Timeline, TraceId, TraceStage, Tracer};
-use rdsim_simulator::{ActorKind, CameraConfig, SimulatorServer, World};
+use rdsim_simulator::{ActorKind, CameraConfig, SimulatorServer, World, WorldSnapshot};
 use rdsim_units::{Meters, SimDuration, SimTime};
+use rdsim_vehicle::ControlInput;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Session configuration.
 #[derive(Debug, Clone)]
@@ -179,7 +182,7 @@ impl SessionObs {
 #[derive(Debug)]
 pub(crate) struct SessionCore {
     pub(crate) server: SimulatorServer,
-    pub(crate) link: DuplexLink,
+    pub(crate) link: DuplexLink<Arc<WorldSnapshot>, ControlInput>,
     pub(crate) injector: FaultInjector,
     pub(crate) dt: SimDuration,
     pub(crate) lead_log_horizon: Meters,
@@ -202,9 +205,6 @@ pub(crate) struct SessionCore {
     /// causal antecedent stamped onto every emitted command.
     pub(crate) last_displayed_frame: Option<u64>,
     pub(crate) safety: Option<crate::safety::SafetyStack>,
-    /// Pool backing command-packet payloads, slot-sized to the fixed
-    /// command packet so steady-state emits never allocate.
-    pub(crate) cmd_pool: bytes::BufPool,
     pub(crate) last_cmd_received_at: Option<SimTime>,
     pub(crate) highest_cmd_seq: Option<u64>,
     /// Sliding delivery/miss window for the vehicle-side loss estimate.
@@ -558,8 +558,26 @@ impl SessionCore {
 #[derive(Debug)]
 pub struct RdsSession {
     core: SessionCore,
-    stages: Vec<Box<dyn Stage>>,
+    stages: Vec<TimedStage>,
     scratch: StepScratch,
+}
+
+/// A pipeline stage with its wall-time histogram, resolved once when the
+/// stage joins the pipeline (`None` without a live recorder), so the
+/// per-tick timing never looks the histogram up by name.
+#[derive(Debug)]
+struct TimedStage {
+    stage: Box<dyn Stage>,
+    span: Option<Arc<Histogram>>,
+}
+
+impl TimedStage {
+    fn new(stage: Box<dyn Stage>, recorder: &Recorder) -> Self {
+        let span = recorder
+            .enabled()
+            .then(|| recorder.histogram(stage.span_name()));
+        TimedStage { stage, span }
+    }
 }
 
 impl RdsSession {
@@ -578,6 +596,10 @@ impl RdsSession {
         link.attach_recorder(&recorder);
         link.attach_tracer(&tracer);
         let obs = SessionObs::new(&recorder);
+        let stages = Self::default_stages()
+            .into_iter()
+            .map(|stage| TimedStage::new(stage, &recorder))
+            .collect();
         RdsSession {
             core: SessionCore {
                 server,
@@ -598,14 +620,13 @@ impl RdsSession {
                 ttc_breached: false,
                 last_displayed_frame: None,
                 safety: None,
-                cmd_pool: bytes::BufPool::with_slot_capacity(crate::COMMAND_PACKET_BYTES),
                 last_cmd_received_at: None,
                 highest_cmd_seq: None,
                 cmd_window: std::collections::VecDeque::new(),
                 timeline: config.timeline.then(Timeline::default),
                 tl_taps: TimelineTaps::default(),
             },
-            stages: Self::default_stages(),
+            stages,
             scratch: StepScratch::default(),
         }
     }
@@ -630,15 +651,15 @@ impl RdsSession {
 
     /// The pipeline's stage names, in execution order.
     pub fn stage_names(&self) -> Vec<&'static str> {
-        self.stages.iter().map(|s| s.name()).collect()
+        self.stages.iter().map(|s| s.stage.name()).collect()
     }
 
     /// Replaces the stage called `name` with `stage`, returning `true` if
     /// a stage by that name existed.
     pub fn replace_stage(&mut self, name: &str, stage: Box<dyn Stage>) -> bool {
-        match self.stages.iter().position(|s| s.name() == name) {
+        match self.stages.iter().position(|s| s.stage.name() == name) {
             Some(i) => {
-                self.stages[i] = stage;
+                self.stages[i] = TimedStage::new(stage, &self.core.recorder);
                 true
             }
             None => false,
@@ -648,9 +669,10 @@ impl RdsSession {
     /// Inserts `stage` immediately after the stage called `name`,
     /// returning `true` if a stage by that name existed.
     pub fn insert_stage_after(&mut self, name: &str, stage: Box<dyn Stage>) -> bool {
-        match self.stages.iter().position(|s| s.name() == name) {
+        match self.stages.iter().position(|s| s.stage.name() == name) {
             Some(i) => {
-                self.stages.insert(i + 1, stage);
+                self.stages
+                    .insert(i + 1, TimedStage::new(stage, &self.core.recorder));
                 true
             }
             None => false,
@@ -837,15 +859,17 @@ impl RdsSession {
     pub fn step(&mut self, operator: &mut dyn OperatorSubsystem) {
         self.core.obs.steps.inc();
         self.scratch.reset();
-        for stage in &mut self.stages {
-            let span = self.core.recorder.span(stage.span_name());
+        for TimedStage { stage, span } in &mut self.stages {
+            let start = span.is_some().then(Instant::now);
             let mut ctx = StageContext {
                 core: &mut self.core,
                 operator,
                 scratch: &mut self.scratch,
             };
             stage.advance(&mut ctx);
-            span.finish();
+            if let (Some(hist), Some(start)) = (span, start) {
+                hist.record(start.elapsed().as_nanos() as u64);
+            }
         }
     }
 
@@ -1226,15 +1250,10 @@ mod tests {
             assert_eq!(h.count, steps, "{name}");
         }
 
-        // The codec hooks fired for every encode/decode.
-        assert_eq!(
-            t.histogram("codec.encode_ns").expect("encode").count,
-            stats.frames_sent
-        );
-        assert_eq!(
-            t.histogram("codec.decode_ns").expect("decode").count,
-            stats.frames_delivered + stats.frames_corrupted
-        );
+        // Every captured frame was sized on the wire.
+        let sizes = t.histogram("codec.frame_bytes").expect("frame sizes");
+        assert_eq!(sizes.count, stats.frames_sent);
+        assert_eq!(sizes.min, 2_000, "padded to the camera's frame size");
     }
 
     #[test]

@@ -10,12 +10,13 @@ use rdsim_units::{Hertz, SimDuration, SimTime};
 use rdsim_vehicle::ControlInput;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A frame as delivered to the driving station.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReceivedFrame {
-    /// Decoded scene.
-    pub snapshot: WorldSnapshot,
+    /// The scene as captured, shared with every other holder of the frame.
+    pub snapshot: Arc<WorldSnapshot>,
     /// When the camera captured it.
     pub captured_at: SimTime,
     /// When it arrived at the station.
@@ -33,32 +34,21 @@ impl ReceivedFrame {
 /// driving commands. Implemented by the simulated human driver models in
 /// `rdsim-operator`, and by scripted operators for deterministic tests.
 pub trait OperatorSubsystem {
-    /// Delivers a successfully decoded frame to the station display.
+    /// Delivers an undamaged frame to the station display.
     ///
     /// Frames arrive in network order, which under jitter is not capture
     /// order; implementations should ignore frames older than the newest
     /// one already shown (real video pipelines do the same).
     fn on_frame(&mut self, frame: ReceivedFrame);
 
-    /// Notifies that a frame arrived but failed its checksum (corruption
-    /// fault). Default: ignored, like a decoder dropping a broken frame.
+    /// Notifies that a frame arrived damaged by a corruption fault and
+    /// was dropped. Default: ignored, like a decoder dropping a broken
+    /// frame.
     fn on_bad_frame(&mut self, _received_at: SimTime) {}
 
     /// Samples the operator's controls at time `now`. Called at the
     /// station's command rate (every session step).
     fn command(&mut self, now: SimTime) -> ControlInput;
-
-    /// Hands a no-longer-needed frame back to the pipeline so its
-    /// snapshot allocation can be reused for the next decode.
-    ///
-    /// Called once before each frame delivery. Operators that keep
-    /// frames (driver models buffering percepts) return `None` — the
-    /// default — and the pipeline allocates a fresh holder; operators
-    /// that consume frames immediately can return their previous one
-    /// and make steady-state display allocation-free.
-    fn recycle_frame(&mut self) -> Option<ReceivedFrame> {
-        None
-    }
 }
 
 /// A deterministic operator for tests and examples: plays a fixed control,
@@ -69,9 +59,6 @@ pub struct ScriptedOperator {
     frames_seen: u64,
     bad_frames: u64,
     last_frame_id: Option<u64>,
-    /// Most recent frame, kept only so `recycle_frame` can hand its
-    /// allocation back to the pipeline.
-    spare: Option<ReceivedFrame>,
 }
 
 impl ScriptedOperator {
@@ -82,7 +69,6 @@ impl ScriptedOperator {
             frames_seen: 0,
             bad_frames: 0,
             last_frame_id: None,
-            spare: None,
         }
     }
 
@@ -103,7 +89,6 @@ impl ScriptedOperator {
             frames_seen: 0,
             bad_frames: 0,
             last_frame_id: None,
-            spare: None,
         }
     }
 
@@ -132,7 +117,6 @@ impl OperatorSubsystem for ScriptedOperator {
         {
             self.last_frame_id = Some(frame.snapshot.frame_id);
         }
-        self.spare = Some(frame);
     }
 
     fn on_bad_frame(&mut self, _received_at: SimTime) {
@@ -149,10 +133,6 @@ impl OperatorSubsystem for ScriptedOperator {
             }
         }
         current
-    }
-
-    fn recycle_frame(&mut self) -> Option<ReceivedFrame> {
-        self.spare.take()
     }
 }
 
@@ -228,12 +208,11 @@ mod tests {
 
     fn frame(id: u64, captured_ms: u64, received_ms: u64) -> ReceivedFrame {
         ReceivedFrame {
-            snapshot: WorldSnapshot {
+            snapshot: Arc::new(WorldSnapshot {
                 time: SimTime::from_millis(captured_ms),
                 frame_id: id,
-                ego: None,
-                others: Vec::new(),
-            },
+                ..WorldSnapshot::default()
+            }),
             captured_at: SimTime::from_millis(captured_ms),
             received_at: SimTime::from_millis(received_ms),
         }

@@ -163,7 +163,11 @@ impl FaultInjector {
     /// Advances the injector to time `now`, applying and removing rules on
     /// the link as windows open and close. Call once per simulation step
     /// *before* stepping the link.
-    pub fn advance(&mut self, link: &mut DuplexLink, now: SimTime) {
+    pub fn advance<Up: Clone, Down: Clone>(
+        &mut self,
+        link: &mut DuplexLink<Up, Down>,
+        now: SimTime,
+    ) {
         // Close the active window if its time has passed.
         if let Some(idx) = self.active {
             let w = self.windows[idx];
@@ -196,14 +200,19 @@ impl FaultInjector {
 
     /// Immediately applies a rule outside any schedule (ad-hoc injection,
     /// e.g. from an interactive test leader) and logs it.
-    pub fn inject_now(&mut self, link: &mut DuplexLink, config: NetemConfig, now: SimTime) {
+    pub fn inject_now<Up: Clone, Down: Clone>(
+        &mut self,
+        link: &mut DuplexLink<Up, Down>,
+        config: NetemConfig,
+        now: SimTime,
+    ) {
         self.inject_now_on(link, Direction::Both, config, now);
     }
 
     /// Immediately applies a rule to one or both directions and logs it.
-    pub fn inject_now_on(
+    pub fn inject_now_on<Up: Clone, Down: Clone>(
         &mut self,
-        link: &mut DuplexLink,
+        link: &mut DuplexLink<Up, Down>,
         direction: Direction,
         config: NetemConfig,
         now: SimTime,
@@ -223,7 +232,11 @@ impl FaultInjector {
     }
 
     /// Immediately clears the active rule and logs the deletion.
-    pub fn clear_now(&mut self, link: &mut DuplexLink, now: SimTime) {
+    pub fn clear_now<Up: Clone, Down: Clone>(
+        &mut self,
+        link: &mut DuplexLink<Up, Down>,
+        now: SimTime,
+    ) {
         let config = *link.uplink.config();
         link.set_both(NetemConfig::passthrough());
         self.log.push(InjectionEvent {
@@ -298,7 +311,7 @@ mod tests {
 
     #[test]
     fn advance_applies_and_removes_rules() {
-        let mut link = DuplexLink::new(1);
+        let mut link: DuplexLink<(), ()> = DuplexLink::new(1);
         let mut inj = FaultInjector::new();
         inj.schedule(InjectionWindow::new(
             SimTime::from_secs(1),
@@ -330,7 +343,7 @@ mod tests {
 
     #[test]
     fn back_to_back_windows() {
-        let mut link = DuplexLink::new(1);
+        let mut link: DuplexLink<(), ()> = DuplexLink::new(1);
         let mut inj = FaultInjector::new();
         inj.schedule(InjectionWindow::new(
             SimTime::from_secs(1),
@@ -354,7 +367,7 @@ mod tests {
 
     #[test]
     fn adhoc_injection() {
-        let mut link = DuplexLink::new(1);
+        let mut link: DuplexLink<(), ()> = DuplexLink::new(1);
         let mut inj = FaultInjector::new();
         inj.inject_now(&mut link, delay_rule(50.0), SimTime::from_secs(4));
         assert!(!link.uplink.config().is_passthrough());
@@ -368,7 +381,7 @@ mod tests {
 
     #[test]
     fn fault_active_tracks_scheduled_and_adhoc() {
-        let mut link = DuplexLink::new(1);
+        let mut link: DuplexLink<(), ()> = DuplexLink::new(1);
         let mut inj = FaultInjector::new();
         assert!(!inj.fault_active());
 
@@ -395,7 +408,7 @@ mod tests {
     fn late_advance_still_opens_window() {
         // If the caller steps coarsely and lands inside the window, the
         // rule is applied and logged at the window start time.
-        let mut link = DuplexLink::new(1);
+        let mut link: DuplexLink<(), ()> = DuplexLink::new(1);
         let mut inj = FaultInjector::new();
         inj.schedule(InjectionWindow::new(
             SimTime::from_secs(1),

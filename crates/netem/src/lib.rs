@@ -13,7 +13,10 @@
 //! * [`NetemConfig`] — the fault configuration, with a parser for the
 //!   familiar `tc` rule grammar (`"delay 50ms"`, `"loss 5%"`, …);
 //! * [`NetemQdisc`] — the queuing discipline implementing the semantics,
-//!   counting each of its decisions once in a [`LinkStats`] ledger;
+//!   counting each of its decisions once in a [`LinkStats`] ledger. It
+//!   decides from packet metadata alone: a [`Packet`] carries a typed
+//!   payload the qdisc never reads, its wire length, and — after a
+//!   corruption fault — the offset of the byte that was hit;
 //! * [`Link`] / [`DuplexLink`] — unidirectional / bidirectional links that
 //!   read that ledger and publish it as `netem.{uplink,downlink}.*`
 //!   telemetry counters when a run ends;
@@ -34,7 +37,7 @@
 //! let mut link = Link::new(7);
 //! link.set_config(config);
 //! let t0 = SimTime::ZERO;
-//! link.send(Packet::new(0, PacketKind::Command, vec![1, 2, 3]), t0);
+//! link.send(Packet::new(0, PacketKind::Command, "steer left", 64), t0);
 //! // Nothing arrives before the 50 ms delay has elapsed.
 //! assert!(link.receive(SimTime::from_millis(49)).is_empty());
 //! # Ok::<(), rdsim_netem::ParseRuleError>(())
@@ -48,11 +51,9 @@ mod injector;
 mod link;
 mod packet;
 mod parser;
-pub mod pool;
 mod qdisc;
 mod trace;
 
-pub use bytes::Bytes;
 pub use config::{
     DelayConfig, LossConfig, NetemConfig, RateConfig, ReorderConfig, BDP_REFERENCE_PACKET,
     MAX_DELAY_MS, MIN_AUTO_LIMIT,
@@ -61,6 +62,5 @@ pub use injector::{Direction, FaultInjector, InjectionAction, InjectionEvent, In
 pub use link::{DuplexLink, Link};
 pub use packet::{Packet, PacketKind};
 pub use parser::ParseRuleError;
-pub use pool::{BufPool, PooledBuf};
 pub use qdisc::{LinkStats, NetemQdisc};
 pub use trace::{TraceParseError, TraceSample, TraceSchedule};

@@ -1,6 +1,5 @@
 //! Packets carried across emulated links.
 
-use bytes::Bytes;
 use rdsim_units::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -32,18 +31,33 @@ impl fmt::Display for PacketKind {
 }
 
 /// A packet in flight on an emulated link.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Packet {
+///
+/// The payload is a typed value the link never reads: the qdisc decides
+/// every fault from the packet's metadata alone. Two lengths describe
+/// the packet's notional wire layout, both stamped by the sender, which
+/// owns that layout: [`wire_len`](Self::wire_len) is what the link sees
+/// (rate serialisation, trace annotations), and
+/// [`body_len`](Self::body_len) is the prefix a receiver validates
+/// (header, checksum and body, not padding). A corruption fault records
+/// the offset of the byte it hit instead of flipping it, and
+/// [`damaged`](Self::damaged) is the receiver's one corruption check.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Packet<P> {
     /// Sender-assigned sequence number (unique per stream).
     pub seq: u64,
     /// Traffic class.
     pub kind: PacketKind,
-    /// Payload bytes (for video frames this is the encoded frame).
-    pub payload: Bytes,
+    /// The typed value carried (a video frame's scene, a command).
+    pub payload: P,
+    /// Bytes the packet occupies on the link.
+    pub wire_len: u32,
+    /// Leading bytes of the wire layout a receiver validates; a corrupted
+    /// byte past this prefix lands in padding and is harmless.
+    pub body_len: u32,
     /// When the packet entered the link; set by [`crate::Link::send`].
     pub sent_at: SimTime,
-    /// `true` if a corruption fault flipped bits in the payload.
-    pub corrupted: bool,
+    /// Offset of the byte a corruption fault hit, below `wire_len`.
+    pub corrupt_at: Option<u32>,
     /// `true` if this packet is a duplicate created by a duplication fault.
     pub duplicate: bool,
     /// Time spent waiting behind the rate limiter (serialization queue),
@@ -55,29 +69,36 @@ pub struct Packet {
     pub propagation: SimDuration,
 }
 
-impl Packet {
-    /// Creates a packet. `sent_at` is stamped by the link on send.
-    pub fn new(seq: u64, kind: PacketKind, payload: impl Into<Bytes>) -> Self {
+impl<P> Packet<P> {
+    /// Creates a packet of `wire_len` bytes whose every byte a receiver
+    /// validates; [`with_body_len`](Self::with_body_len) narrows that to
+    /// a prefix. `sent_at` is stamped by the link on send.
+    pub fn new(seq: u64, kind: PacketKind, payload: P, wire_len: u32) -> Self {
         Packet {
             seq,
             kind,
-            payload: payload.into(),
+            payload,
+            wire_len,
+            body_len: wire_len,
             sent_at: SimTime::ZERO,
-            corrupted: false,
+            corrupt_at: None,
             duplicate: false,
             queued: SimDuration::ZERO,
             propagation: SimDuration::ZERO,
         }
     }
 
-    /// Payload size in bytes.
-    pub fn len(&self) -> usize {
-        self.payload.len()
+    /// Sets the validated prefix: corruption at or past `body_len` hits
+    /// padding.
+    pub fn with_body_len(mut self, body_len: u32) -> Self {
+        self.body_len = body_len;
+        self
     }
 
-    /// `true` for an empty payload.
-    pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
+    /// `true` if a corruption fault hit a byte the receiver validates —
+    /// the packet is rejected, as a checksum would reject it.
+    pub fn damaged(&self) -> bool {
+        self.corrupt_at.is_some_and(|at| at < self.body_len)
     }
 
     /// Latency experienced by the packet if delivered at `now`.
@@ -100,27 +121,31 @@ impl Packet {
     }
 
     /// The packet's metadata packed into the trace-annotation word:
-    /// payload length in the low 32 bits, the `corrupted` flag in bit 32,
-    /// the `duplicate` flag in bit 33, and the send time (whole ms,
+    /// `wire_len` in the low 32 bits, a corrupted flag in bit 32, the
+    /// `duplicate` flag in bit 33, and the send time (whole ms,
     /// saturating) in bits 34..=63.
     pub fn trace_arg(&self) -> u64 {
         let sent_ms = (self.sent_at.as_micros() / 1_000).min((1 << 30) - 1);
-        (self.len() as u64 & 0xFFFF_FFFF)
-            | ((self.corrupted as u64) << 32)
-            | ((self.duplicate as u64) << 33)
+        u64::from(self.wire_len)
+            | (u64::from(self.corrupt_at.is_some()) << 32)
+            | (u64::from(self.duplicate) << 33)
             | (sent_ms << 34)
     }
 }
 
-impl fmt::Display for Packet {
+impl<P> fmt::Display for Packet<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "{}#{} ({} B{}{})",
             self.kind,
             self.seq,
-            self.len(),
-            if self.corrupted { ", corrupted" } else { "" },
+            self.wire_len,
+            if self.corrupt_at.is_some() {
+                ", corrupted"
+            } else {
+                ""
+            },
             if self.duplicate { ", dup" } else { "" },
         )
     }
@@ -133,25 +158,20 @@ mod tests {
 
     #[test]
     fn construction_and_accessors() {
-        let p = Packet::new(7, PacketKind::Video, vec![1u8, 2, 3]);
+        let p = Packet::new(7, PacketKind::Video, "scene", 3);
         assert_eq!(p.seq, 7);
         assert_eq!(p.kind, PacketKind::Video);
-        assert_eq!(p.len(), 3);
-        assert!(!p.is_empty());
-        assert!(!p.corrupted);
+        assert_eq!(p.payload, "scene");
+        assert_eq!((p.wire_len, p.body_len), (3, 3));
+        assert_eq!(p.corrupt_at, None);
+        assert!(!p.damaged());
         assert!(!p.duplicate);
-    }
-
-    #[test]
-    fn empty_packet() {
-        let p = Packet::new(0, PacketKind::Qos, Vec::<u8>::new());
-        assert!(p.is_empty());
-        assert_eq!(p.len(), 0);
+        assert_eq!(p.with_body_len(2).body_len, 2);
     }
 
     #[test]
     fn latency() {
-        let mut p = Packet::new(1, PacketKind::Command, vec![0u8]);
+        let mut p = Packet::new(1, PacketKind::Command, (), 1);
         p.sent_at = SimTime::from_millis(100);
         assert_eq!(
             p.latency_at(SimTime::from_millis(150)),
@@ -171,7 +191,7 @@ mod tests {
             (PacketKind::Qos, ArtifactKind::Qos),
         ];
         for (pk, ak) in cases {
-            let p = Packet::new(42, pk, vec![0u8; 4]);
+            let p = Packet::new(42, pk, (), 4);
             assert_eq!(p.trace_id().kind(), ak);
             assert_eq!(p.trace_id().seq(), 42);
         }
@@ -179,22 +199,34 @@ mod tests {
 
     #[test]
     fn trace_arg_packs_metadata_fields() {
-        let mut p = Packet::new(1, PacketKind::Video, vec![0u8; 300]);
+        let mut p = Packet::new(1, PacketKind::Video, (), 300);
         p.sent_at = SimTime::from_millis(250);
-        assert_eq!(p.trace_arg() & 0xFFFF_FFFF, 300, "payload length");
+        assert_eq!(p.trace_arg() & 0xFFFF_FFFF, 300, "wire length");
         assert_eq!((p.trace_arg() >> 32) & 1, 0);
         assert_eq!((p.trace_arg() >> 33) & 1, 0);
         assert_eq!(p.trace_arg() >> 34, 250, "send time in ms");
-        p.corrupted = true;
+        p.corrupt_at = Some(299);
         p.duplicate = true;
         assert_eq!((p.trace_arg() >> 32) & 1, 1, "corrupted flag");
         assert_eq!((p.trace_arg() >> 33) & 1, 1, "duplicate flag");
     }
 
     #[test]
+    fn damaged_iff_the_corrupt_byte_is_validated() {
+        let mut p = Packet::new(0, PacketKind::Video, (), 100).with_body_len(40);
+        for at in 0..p.wire_len {
+            p.corrupt_at = Some(at);
+            assert_eq!(p.damaged(), at < 40, "offset {at}");
+        }
+    }
+
+    #[test]
     fn display_forms() {
-        let p = Packet::new(3, PacketKind::Meta, vec![0u8; 10]);
+        let mut p = Packet::new(3, PacketKind::Meta, (), 10);
         assert_eq!(format!("{p}"), "meta#3 (10 B)");
+        p.corrupt_at = Some(4);
+        p.duplicate = true;
+        assert_eq!(format!("{p}"), "meta#3 (10 B, corrupted, dup)");
         assert_eq!(format!("{}", PacketKind::Video), "video");
         assert_eq!(format!("{}", PacketKind::Qos), "qos");
     }

@@ -48,15 +48,23 @@ impl LinkStats {
 }
 
 /// An entry in the delay queue, ordered by `(release, tiebreak)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct QueueEntry {
+#[derive(Debug, Clone)]
+struct QueueEntry<P> {
     release: SimTime,
     /// Monotone enqueue counter: makes the ordering total and stable.
     tiebreak: u64,
-    packet: Packet,
+    packet: Packet<P>,
 }
 
-impl Ord for QueueEntry {
+impl<P> PartialEq for QueueEntry<P> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.release, self.tiebreak) == (other.release, other.tiebreak)
+    }
+}
+
+impl<P> Eq for QueueEntry<P> {}
+
+impl<P> Ord for QueueEntry<P> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reverse for a min-heap on (release, tiebreak).
         other
@@ -66,7 +74,7 @@ impl Ord for QueueEntry {
     }
 }
 
-impl PartialOrd for QueueEntry {
+impl<P> PartialOrd for QueueEntry<P> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -81,8 +89,11 @@ impl PartialOrd for QueueEntry {
 ///   correlation; `GilbertElliott` is a two-state Markov burst model.
 /// * **duplicate** — the packet is queued twice (the copy marked
 ///   [`Packet::duplicate`]).
-/// * **corrupt** — a single random bit of the payload is flipped and the
-///   packet is marked [`Packet::corrupted`].
+/// * **corrupt** — a single random byte of the wire layout is hit; its
+///   offset is recorded in [`Packet::corrupt_at`] (the payload itself is
+///   never touched; receivers check [`Packet::damaged`]).
+/// * Every other decision reads only the packet's metadata, so the
+///   payload type `P` is opaque to the discipline.
 /// * **delay** — release time = enqueue time + base ± jitter. Correlated
 ///   jitter uses a first-order autoregressive mix, like netem. Note that
 ///   jitter may reorder packets relative to send order — exactly as real
@@ -90,13 +101,13 @@ impl PartialOrd for QueueEntry {
 /// * **reorder** — with the configured probability a packet bypasses the
 ///   delay entirely (sent immediately), the classic `reorder 25% 50%`
 ///   behaviour.
-/// * **rate** — packets acquire serialisation delay `len·8/rate` and queue
-///   behind previously serialised packets.
+/// * **rate** — packets acquire serialisation delay `wire_len·8/rate` and
+///   queue behind previously serialised packets.
 #[derive(Debug)]
-pub struct NetemQdisc {
+pub struct NetemQdisc<P> {
     config: NetemConfig,
     rng: RngStream,
-    heap: BinaryHeap<QueueEntry>,
+    heap: BinaryHeap<QueueEntry<P>>,
     counter: u64,
     /// Previous correlated-jitter sample, in [-1, 1].
     prev_jitter: f64,
@@ -120,7 +131,7 @@ pub struct NetemQdisc {
     tracer: Tracer,
 }
 
-impl NetemQdisc {
+impl<P: Clone> NetemQdisc<P> {
     /// Creates a passthrough qdisc with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         NetemQdisc::with_config(NetemConfig::passthrough(), seed)
@@ -238,24 +249,15 @@ impl NetemQdisc {
         }
     }
 
-    fn maybe_corrupt(&mut self, packet: &mut Packet, now: SimTime) {
+    fn maybe_corrupt(&mut self, packet: &mut Packet<P>, now: SimTime) {
         if let Some(p) = self.config.corrupt {
-            if !packet.payload.is_empty() && self.rng.bernoulli(p.get()) {
-                let byte = self.rng.uniform_usize(packet.payload.len());
-                let bit = self.rng.uniform_usize(8);
-                // Corruption runs before the duplicate clone is pushed,
-                // so the payload is normally unshared and the bit flips
-                // in place; a shared payload (clone held elsewhere)
-                // falls back to one copy. The RNG draw order is
-                // identical either way.
-                if let Some(bytes) = packet.payload.try_mut_slice() {
-                    bytes[byte] ^= 1 << bit;
-                } else {
-                    let mut bytes = packet.payload.to_vec();
-                    bytes[byte] ^= 1 << bit;
-                    packet.payload = bytes.into();
-                }
-                packet.corrupted = true;
+            if packet.wire_len > 0 && self.rng.bernoulli(p.get()) {
+                let byte = self.rng.uniform_usize(packet.wire_len as usize);
+                // The bit index is drawn and discarded: which bit of the
+                // byte flips never matters to a receiver, but the draw
+                // order is frozen by the digest contract.
+                let _bit = self.rng.uniform_usize(8);
+                packet.corrupt_at = Some(byte as u32);
                 self.stats.corrupted += 1;
                 self.tracer.record(
                     packet.trace_id(),
@@ -267,7 +269,7 @@ impl NetemQdisc {
         }
     }
 
-    fn push(&mut self, packet: Packet, release: SimTime) {
+    fn push(&mut self, packet: Packet<P>, release: SimTime) {
         self.counter += 1;
         self.heap.push(QueueEntry {
             release,
@@ -281,7 +283,7 @@ impl NetemQdisc {
     /// Returns the number of queue entries created (0 if the packet was
     /// dropped by a loss fault or a full queue, 2 if a duplication fault
     /// copied it).
-    pub fn enqueue(&mut self, mut packet: Packet, now: SimTime) -> usize {
+    pub fn enqueue(&mut self, mut packet: Packet<P>, now: SimTime) -> usize {
         self.stats.enqueued += 1;
         self.tracer.record(
             packet.trace_id(),
@@ -334,7 +336,7 @@ impl NetemQdisc {
         let mut base_time = now;
         if let Some(rate) = self.config.rate {
             let start = now.max(self.rate_busy_until);
-            let busy = start + rate.serialization_time(packet.len());
+            let busy = start + rate.serialization_time(packet.wire_len as usize);
             self.rate_busy_until = busy;
             base_time = busy;
         }
@@ -393,7 +395,7 @@ impl NetemQdisc {
     /// Removes and returns every packet whose release time is `<= now`,
     /// in release order. The per-step datapath uses the allocation-free
     /// [`dequeue_into`](Self::dequeue_into) instead.
-    pub fn dequeue(&mut self, now: SimTime) -> Vec<Packet> {
+    pub fn dequeue(&mut self, now: SimTime) -> Vec<Packet<P>> {
         let mut out = Vec::new();
         self.dequeue_into(now, &mut out);
         out
@@ -401,7 +403,7 @@ impl NetemQdisc {
 
     /// Appends every packet whose release time is `<= now` to `out`, in
     /// release order. Allocation-free when `out` has spare capacity.
-    pub fn dequeue_into(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+    pub fn dequeue_into(&mut self, now: SimTime, out: &mut Vec<Packet<P>>) {
         let start = out.len();
         while let Some(top) = self.heap.peek() {
             if top.release > now {
@@ -453,11 +455,11 @@ mod tests {
     use crate::PacketKind;
     use rdsim_units::{Millis, Ratio};
 
-    fn pkt(seq: u64) -> Packet {
-        Packet::new(seq, PacketKind::Command, vec![0u8; 64])
+    fn pkt(seq: u64) -> Packet<()> {
+        Packet::new(seq, PacketKind::Command, (), 64)
     }
 
-    fn drain_all(q: &mut NetemQdisc) -> Vec<Packet> {
+    fn drain_all<P: Clone>(q: &mut NetemQdisc<P>) -> Vec<Packet<P>> {
         q.dequeue(SimTime::from_secs(3600))
     }
 
@@ -584,81 +586,38 @@ mod tests {
     }
 
     #[test]
-    fn corruption_flips_exactly_one_bit() {
-        let mut q = NetemQdisc::with_config(NetemConfig::default().with_corrupt(Ratio::ONE), 5);
-        let original = vec![0u8; 64];
-        q.enqueue(
-            Packet::new(0, PacketKind::Video, original.clone()),
-            SimTime::ZERO,
-        );
-        let out = drain_all(&mut q);
-        assert!(out[0].corrupted);
-        let diff_bits: u32 = out[0]
-            .payload
-            .iter()
-            .zip(&original)
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
-        assert_eq!(diff_bits, 1);
-        assert_eq!(out[0].payload.len(), original.len());
-        assert_eq!(q.stats().corrupted, 1);
+    fn corruption_records_one_offset_below_wire_len() {
+        let config = NetemConfig::default()
+            .with_corrupt(Ratio::ONE)
+            .with_duplicate(Ratio::ONE);
+        let mut q = NetemQdisc::with_config(config, 5);
+        let mut offsets = Vec::new();
+        for seq in 0..200 {
+            q.enqueue(Packet::new(seq, PacketKind::Video, seq, 40), SimTime::ZERO);
+            let out = drain_all(&mut q);
+            assert_eq!(out.len(), 2, "original plus duplicate");
+            let at = out[0].corrupt_at.expect("corrupt 100% hits every packet");
+            assert!(at < 40, "offset {at} inside the wire layout");
+            assert_eq!(
+                out[1].corrupt_at,
+                Some(at),
+                "the duplicate inherits the hit"
+            );
+            assert!(out.iter().all(|p| p.payload == seq), "payload untouched");
+            offsets.push(at);
+        }
+        assert_eq!(q.stats().corrupted, 200, "one hit per packet, not per copy");
+        // The byte index is uniform over the wire layout.
+        assert!(offsets.iter().any(|&at| at < 4) && offsets.iter().any(|&at| at >= 36));
     }
 
     #[test]
-    fn corruption_mutates_pooled_payload_in_place() {
-        let pool = crate::BufPool::new();
+    fn corruption_skips_zero_length_packet() {
         let mut q = NetemQdisc::with_config(NetemConfig::default().with_corrupt(Ratio::ONE), 5);
-        let original = vec![0xA5u8; 64];
-        let mut buf = pool.checkout();
-        buf.buf().extend_from_slice(&original);
-        q.enqueue(
-            Packet::new(0, PacketKind::Video, buf.freeze()),
-            SimTime::ZERO,
-        );
+        q.enqueue(Packet::new(0, PacketKind::Qos, (), 0), SimTime::ZERO);
         let out = drain_all(&mut q);
-        assert!(out[0].corrupted);
-        let diff_bits: u32 = out[0]
-            .payload
-            .iter()
-            .zip(&original)
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
-        assert_eq!(diff_bits, 1, "exactly one bit flips");
-        assert_eq!(out[0].payload.len(), original.len(), "length unchanged");
-        // In place means the same pool slot carried through: dropping the
-        // delivered packet recycles it instead of leaking a replacement.
-        drop(out);
-        assert_eq!(pool.available(), 1, "payload was corrupted in place");
-    }
-
-    #[test]
-    fn corruption_of_shared_payload_falls_back_to_copy() {
-        let mut q = NetemQdisc::with_config(NetemConfig::default().with_corrupt(Ratio::ONE), 5);
-        let payload = crate::Bytes::from(vec![0u8; 32]);
-        let held = payload.clone(); // forces the copy-on-write fallback
-        q.enqueue(Packet::new(0, PacketKind::Video, payload), SimTime::ZERO);
-        let out = drain_all(&mut q);
-        assert!(out[0].corrupted);
-        let diff_bits: u32 = out[0]
-            .payload
-            .iter()
-            .zip(held.iter())
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
-        assert_eq!(diff_bits, 1);
-        assert_eq!(out[0].payload.len(), held.len());
-        assert_eq!(held, vec![0u8; 32], "the held clone is untouched");
-    }
-
-    #[test]
-    fn corruption_skips_empty_payload() {
-        let mut q = NetemQdisc::with_config(NetemConfig::default().with_corrupt(Ratio::ONE), 5);
-        q.enqueue(
-            Packet::new(0, PacketKind::Qos, Vec::<u8>::new()),
-            SimTime::ZERO,
-        );
-        let out = drain_all(&mut q);
-        assert!(!out[0].corrupted);
+        assert_eq!(out[0].corrupt_at, None);
+        assert_eq!(q.stats().corrupted, 0);
     }
 
     #[test]
@@ -735,10 +694,7 @@ mod tests {
         let config = NetemConfig::default().with_rate(1_000_000);
         let mut q = NetemQdisc::with_config(config, 19);
         for seq in 0..5 {
-            q.enqueue(
-                Packet::new(seq, PacketKind::Video, vec![0u8; 125]),
-                SimTime::ZERO,
-            );
+            q.enqueue(Packet::new(seq, PacketKind::Video, (), 125), SimTime::ZERO);
         }
         let mut releases = Vec::new();
         while let Some(r) = q.next_release() {
@@ -755,15 +711,12 @@ mod tests {
     fn rate_limiter_idles_down() {
         let config = NetemConfig::default().with_rate(1_000_000);
         let mut q = NetemQdisc::with_config(config, 19);
-        q.enqueue(
-            Packet::new(0, PacketKind::Video, vec![0u8; 125]),
-            SimTime::ZERO,
-        );
+        q.enqueue(Packet::new(0, PacketKind::Video, (), 125), SimTime::ZERO);
         drain_all(&mut q);
         // A packet arriving much later is not queued behind the stale
         // busy-until time.
         let late = SimTime::from_secs(10);
-        q.enqueue(Packet::new(1, PacketKind::Video, vec![0u8; 125]), late);
+        q.enqueue(Packet::new(1, PacketKind::Video, (), 125), late);
         assert_eq!(q.next_release(), Some(late + SimDuration::from_millis(1)));
     }
 
@@ -869,18 +822,18 @@ mod tests {
         assert!(q.stats().dropped > 0 && q.stats().duplicated > 0 && q.stats().corrupted > 0);
         // Annotations carry the packet's metadata word: duplicate deliveries
         // have bit 33 set, and every enqueue arg's low 32 bits are the
-        // payload length of our fixed test packet.
+        // wire length of our fixed test packet.
         let dup_seq = delivered.iter().find(|p| p.duplicate).expect("dup").seq;
         assert!(log
             .lineage(rdsim_obs::TraceId::new(ArtifactKind::Command, dup_seq))
             .iter()
             .any(|e| e.stage == TraceStage::NetemDuplicate && (e.arg >> 33) & 1 == 1));
-        let payload_len = pkt(0).len() as u64;
+        let wire_len = u64::from(pkt(0).wire_len);
         assert!(log
             .events
             .iter()
             .filter(|e| e.stage == TraceStage::NetemEnqueue)
-            .all(|e| e.arg & 0xFFFF_FFFF == payload_len));
+            .all(|e| e.arg & 0xFFFF_FFFF == wire_len));
         // Deliver args are the experienced latency in µs (≥ base delay).
         assert!(log
             .events

@@ -4,13 +4,14 @@ use rdsim_core::ReceivedFrame;
 use rdsim_simulator::WorldSnapshot;
 use rdsim_units::{Seconds, SimDuration, SimTime};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// A frame after it has passed through the subject's perception–reaction
 /// latency and become actionable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerceivedScene {
-    /// The scene content.
-    pub snapshot: WorldSnapshot,
+    /// The scene content, shared with the frame it arrived in.
+    pub snapshot: Arc<WorldSnapshot>,
     /// When the camera captured it.
     pub captured_at: SimTime,
     /// When it reached the station.
@@ -145,12 +146,11 @@ mod tests {
 
     fn frame(id: u64, captured_ms: u64, received_ms: u64) -> ReceivedFrame {
         ReceivedFrame {
-            snapshot: WorldSnapshot {
+            snapshot: Arc::new(WorldSnapshot {
                 time: SimTime::from_millis(captured_ms),
                 frame_id: id,
-                ego: None,
-                others: Vec::new(),
-            },
+                ..WorldSnapshot::default()
+            }),
             captured_at: SimTime::from_millis(captured_ms),
             received_at: SimTime::from_millis(received_ms),
         }

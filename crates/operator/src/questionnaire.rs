@@ -164,12 +164,11 @@ mod tests {
         for i in 0..n {
             let t = i * gap_ms;
             p.ingest(ReceivedFrame {
-                snapshot: WorldSnapshot {
+                snapshot: std::sync::Arc::new(WorldSnapshot {
                     time: SimTime::from_millis(t),
                     frame_id: i,
-                    ego: None,
-                    others: Vec::new(),
-                },
+                    ..WorldSnapshot::default()
+                }),
                 captured_at: SimTime::from_millis(t),
                 received_at: SimTime::from_millis(t + 5),
             });

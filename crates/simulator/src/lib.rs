@@ -9,10 +9,10 @@
 //!   and static obstacles on a road network ([`World`]);
 //! * a sensor suite — collision sensor, lane-invasion sensor, odometry —
 //!   logging exactly the quantities the paper records (§V.F);
-//! * a camera producing frames at 25–30 fps, each frame a serialised
-//!   snapshot of the world as seen at that instant ([`CameraSensor`],
-//!   [`VideoFrame`], with a checksummed binary codec so that corruption
-//!   faults are detectable like they are for real video streams);
+//! * a camera producing frames at 25–30 fps, each frame an immutable,
+//!   shared snapshot of the world as seen at that instant
+//!   ([`CameraSensor`], [`VideoFrame`]), sized on the wire like an encoded
+//!   frame so the network emulator sees realistic packets;
 //! * a CARLA-style server facade consuming [`rdsim_vehicle::ControlInput`]
 //!   commands and emitting frames ([`SimulatorServer`]).
 //!
@@ -38,7 +38,6 @@
 
 mod actor;
 mod camera;
-mod codec;
 mod sensors;
 mod snapshot;
 mod traffic;
@@ -46,11 +45,6 @@ mod world;
 
 pub use actor::{Actor, ActorId, ActorKind, Behavior};
 pub use camera::{CameraConfig, CameraSensor, VideoFrame};
-pub use codec::{
-    decode_frame, decode_frame_into, decode_frame_recorded, decode_frame_recorded_into,
-    encode_frame, encode_frame_into, encode_frame_pooled, encode_frame_pooled_recorded,
-    encode_frame_recorded, CodecError,
-};
 pub use sensors::{obb_overlap, CollisionEvent, LaneInvasionEvent};
 pub use snapshot::{ActorSnapshot, WorldSnapshot};
 pub use traffic::{idm_acceleration, IdmParams, LaneFollowConfig, LaneKeeper};

@@ -1,7 +1,6 @@
 //! The CARLA-style server facade: the "vehicle subsystem" plant.
 
-use crate::{CameraConfig, CameraSensor, VideoFrame, World, WorldSnapshot};
-use bytes::BufPool;
+use crate::{CameraConfig, CameraSensor, VideoFrame, World};
 use rdsim_math::RngStream;
 use rdsim_obs::Recorder;
 use rdsim_units::{SimDuration, SimTime};
@@ -25,12 +24,6 @@ pub struct SimulatorServer {
     /// If set, revert to a neutral coasting command when no command has
     /// arrived for this long (a candidate safety measure; off by default).
     neutral_fallback_after: Option<SimDuration>,
-    /// Reused scene snapshot the camera encodes from — per-session
-    /// scratch so steady-state captures never rebuild the actor list.
-    snap_scratch: WorldSnapshot,
-    /// Pool backing frame payloads; slots sized to the configured frame
-    /// so even the first encode into a fresh slot does not regrow it.
-    frame_pool: BufPool,
 }
 
 impl SimulatorServer {
@@ -55,19 +48,11 @@ impl SimulatorServer {
             last_command_at: None,
             commands_applied: 0,
             neutral_fallback_after: None,
-            snap_scratch: WorldSnapshot {
-                time: SimTime::ZERO,
-                frame_id: 0,
-                ego: None,
-                others: Vec::new(),
-            },
-            frame_pool: BufPool::with_slot_capacity(camera_config.frame_bytes),
         }
     }
 
-    /// Attaches a telemetry recorder; forwarded to the camera so frame
-    /// encodes are timed (`codec.encode_ns`) and sized
-    /// (`codec.frame_bytes`).
+    /// Attaches a telemetry recorder; forwarded to the camera so frames
+    /// are sized into `codec.frame_bytes`.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.camera.set_recorder(recorder);
     }
@@ -145,20 +130,15 @@ impl SimulatorServer {
     }
 
     /// Polls the camera sensor, appending captured frames to `out`. The
-    /// scene is staged in the server's snapshot scratch and payloads come
-    /// from its frame pool, so steady state this allocates nothing.
+    /// scene is written into a snapshot the camera recycles once no frame
+    /// shares it, so steady state this allocates nothing.
     pub fn capture_into(&mut self, out: &mut Vec<VideoFrame>) {
         let now = self.world.time();
         let start = out.len();
         // Borrow dance: snapshot needs &world while camera is &mut self.
         let world = &self.world;
-        self.camera.poll_into(
-            now,
-            |snap| world.snapshot_into(snap),
-            &mut self.snap_scratch,
-            &self.frame_pool,
-            out,
-        );
+        self.camera
+            .poll_into(now, |snap| world.snapshot_into(snap), out);
         if let Some(last) = out[start..].last() {
             self.world.set_frame_hint(last.frame_id);
         }
@@ -178,7 +158,7 @@ impl SimulatorServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{decode_frame, ActorKind, Behavior};
+    use crate::{ActorKind, Behavior};
     use rdsim_roadnet::town05;
     use rdsim_units::{Hertz, MetersPerSecond};
     use rdsim_vehicle::VehicleSpec;
@@ -265,8 +245,8 @@ mod tests {
         }
         // 2 s at 25 fps = 50 frames.
         assert!((48..=52).contains(&frames.len()), "{} frames", frames.len());
-        // Frames decode and contain the scene.
-        let snap = decode_frame(&frames[10].payload).unwrap();
+        // Frames carry the scene.
+        let snap = &frames[10].snapshot;
         assert!(snap.ego.is_some());
         assert_eq!(snap.others.len(), 1);
         // Frame ids are monotone.

@@ -31,11 +31,11 @@ impl ActorSnapshot {
 
 /// A full scene description at one capture instant.
 ///
-/// The camera serialises a snapshot into every [`crate::VideoFrame`]; the
+/// Every [`crate::VideoFrame`] carries one, shared and immutable; the
 /// operator model "sees" whatever the most recently *delivered* frame
 /// contains — which is exactly how network delay and loss degrade the
 /// operator's situational awareness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WorldSnapshot {
     /// Capture time.
     pub time: SimTime,

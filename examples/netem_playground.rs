@@ -11,7 +11,12 @@
 use rdsim::netem::{Link, NetemConfig, Packet, PacketKind};
 use rdsim::units::{SimDuration, SimTime};
 
+/// Wire size of each synthetic video packet: a 20 kB encoded frame.
+const FRAME_WIRE_BYTES: u32 = 20_000;
+
 /// Sends `n` video-sized packets at 27 fps through a rule and reports.
+/// The packets carry no payload (`()`): the emulator decides every fault
+/// from the packet metadata, including the wire size.
 fn exercise(rule: &str, n: u64) {
     let config: NetemConfig = rule.parse().expect("valid rule");
     let mut link = Link::with_config(config, 7);
@@ -27,7 +32,10 @@ fn exercise(rule: &str, n: u64) {
     // emulator, not the sender's frame cadence.
     while seq < n || link.in_flight() > 0 {
         if seq < n && now >= next_send {
-            link.send(Packet::new(seq, PacketKind::Video, vec![0u8; 20_000]), now);
+            link.send(
+                Packet::new(seq, PacketKind::Video, (), FRAME_WIRE_BYTES),
+                now,
+            );
             seq += 1;
             next_send += frame_gap;
         }
@@ -51,7 +59,7 @@ fn exercise(rule: &str, n: u64) {
         total_latency / delivered
     };
     let duplicates = received.iter().filter(|p| p.duplicate).count();
-    let corrupted = received.iter().filter(|p| p.corrupted).count();
+    let corrupted = received.iter().filter(|p| p.corrupt_at.is_some()).count();
     let reordered = received.windows(2).filter(|w| w[1].seq < w[0].seq).count();
     println!("{rule:<28} delivered {:>4}/{:<4}  loss {:>5.1}%  qdrop {:>3}  mean lat {:>7.1} ms  max {:>7.1} ms  dup {:>2}  corrupt {:>2}  reordered {:>3}",
         delivered,
