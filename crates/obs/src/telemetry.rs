@@ -82,7 +82,7 @@ impl RunTelemetry {
     ///
     /// * every wall-clock field (`wall_elapsed_ns`, per-event `wall_ns`),
     /// * every instrument whose name ends in `_ns` (by convention those
-    ///   sample wall-clock spans — stage timings, codec cost — which vary
+    ///   sample wall-clock durations — stage timings — which vary
     ///   run to run on real hardware), and
     /// * every instrument under the `executor.` prefix, which reports
     ///   fleet scheduling (queue depth, per-worker run counts) that
